@@ -72,15 +72,18 @@ class OmegaRangeError(ValueError):
 
 @lru_cache(maxsize=None)
 def _omega_mn(m: int, n: int, delta: int, k: int) -> Fraction:
+    """omega_k from the level-two recursion
+    omega_k = (b1 + b2) omega_{k-1} - b1 b2 omega_{k-2}, run as a loop."""
+    prev = Fraction(m + n)
     if k == 0:
-        return Fraction(m + n)
-    if k == 1:
-        return Fraction(-delta * m) + Fraction((m + n) ** 2, 2)
+        return prev
+    cur = Fraction(-delta * m) + Fraction((m + n) ** 2, 2)
     b1 = Fraction(-delta) + Fraction(m + n, 2)
     b2 = Fraction(n - m, 2)
-    return (b1 + b2) * _omega_mn(m, n, delta, k - 1) - b1 * b2 * _omega_mn(
-        m, n, delta, k - 2
-    )
+    s, pr = b1 + b2, b1 * b2
+    for _ in range(k - 1):
+        prev, cur = cur, s * cur - pr * prev
+    return cur
 
 
 @dataclass(frozen=True)

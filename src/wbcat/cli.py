@@ -4,7 +4,9 @@ subcommand with deterministic JSON on stdout.
 Conventions
 -----------
 * exit code 0 on success, 1 on engine errors (bad input values, violated
-  preconditions), 2 on usage errors (unknown flags/subcommands);
+  preconditions, arithmetic faults, failed internal checks, runaway
+  recursion: a JSON {"error": ...} object on stderr, never a traceback),
+  2 on usage errors (unknown flags/subcommands);
 * every algebraic number is emitted as an exact rational string; counts,
   dimensions and indices are plain integers;
 * JSON keys are sorted and separators fixed, so reruns are byte-identical;
@@ -338,8 +340,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+    except (
+        ValueError,
+        KeyError,
+        OSError,
+        ArithmeticError,
+        RecursionError,
+        AssertionError,
+    ) as exc:
+        sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 1
 
 

@@ -407,13 +407,16 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# Exact sparse linear algebra over Fraction.
+# Exact linear algebra over Fraction: dense row reduction and a sparse rank.
 
 
 def row_echelon(rows):
-    """In-place fraction-free-ish forward elimination on dense rows.
+    """In-place Gauss-Jordan elimination on dense rows.
 
-    rows: list of lists of Fraction. Returns the rank. Rows are modified.
+    Each pivot row is divided by its pivot and the pivot column is cleared
+    in every other row, so the first `rank` rows end in reduced row echelon
+    form. rows: list of lists of Fraction. Returns the rank. Rows are
+    modified.
     """
     if not rows:
         return 0
@@ -441,34 +444,41 @@ def row_echelon(rows):
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts key -> Fraction)."""
-    pivots = {}  # pivot key -> normalized row
-    rank = 0
+    """Rank of a list of sparse rows (dicts key -> Fraction); zero values are
+    ignored and the input is not modified.
+
+    Each row is reduced against every pivot key it contains, pass after
+    pass, until it contains none. If anything is left, its new pivot is the
+    key whose column has the fewest nonzeros in the input (ties go to the
+    first such key in the row), a static Markowitz-style rule that keeps
+    the fill-in of the stored pivot rows low.
+    """
+    colcount = {}
+    for row in rows:
+        for k, v in row.items():
+            if v:
+                colcount[k] = colcount.get(k, 0) + 1
+    pivots = {}  # pivot key -> row scaled to 1 at the pivot
     for row in rows:
         row = {k: v for k, v in row.items() if v}
-        while row:
-            # eliminate against known pivots
-            hit = None
-            for k in row:
-                if k in pivots:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            f = row[hit]
-            prow = pivots[hit]
-            for k, v in prow.items():
-                s = row.get(k, Fraction(0)) - f * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
+        hits = [k for k in row if k in pivots]
+        while hits:
+            for hit in hits:
+                f = row.get(hit)
+                if f is None:  # cancelled by an earlier step of this pass
+                    continue
+                for k, v in pivots[hit].items():
+                    s = row.get(k, 0) - f * v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+            hits = [k for k in row if k in pivots]
         if row:
-            k0 = next(iter(row))
+            k0 = min(row, key=colcount.__getitem__)
             inv = 1 / row[k0]
             pivots[k0] = {k: v * inv for k, v in row.items()}
-            rank += 1
-    return rank
+    return len(pivots)
 
 
 def nullspace(rows, ncols):

@@ -30,8 +30,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .diagrams import DecoratedElement, orseq, swap_seq, word_for_monomial
-from .exact import rref
+from .diagrams import (
+    DecoratedElement,
+    cyclotomic_monomials,
+    orseq,
+    swap_seq,
+    word_for_monomial,
+)
+from .exact import rref, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -449,8 +455,6 @@ def faithfulness_rank(A, params) -> int:
 
     `params` provides m, n, delta (the cyclotomic parameter triple).
     """
-    from .diagrams import cyclotomic_monomials
-
     A = orseq(A)
     ctx = GlContext.parabolic(params.m, params.n, params.delta)
     monos = cyclotomic_monomials(A)
@@ -464,8 +468,6 @@ def faithfulness_rank(A, params) -> int:
             for key, c in w.terms.items():
                 row[(beta, key)] = c
         rows.append(row)
-    from .exact import sparse_rank
-
     return sparse_rank(rows)
 
 

@@ -6,6 +6,7 @@ import pytest
 from wbcat.affine import (
     OmegaRangeError,
     OmegaSpec,
+    _omega_mn,
     check_relation,
     element_for_word,
     multiply,
@@ -13,6 +14,7 @@ from wbcat.affine import (
     reduce,
     w_coeff,
 )
+from wbcat.cyclotomic import make_params, w1_closed_form
 from wbcat.diagrams import (
     DecoratedElement,
     Monomial,
@@ -60,6 +62,14 @@ def test_omega_trivial_and_mn_delta():
     assert om(2) == 16 and om(5) == 128
     om = OmegaSpec.from_mn_delta(1, 1, 0)
     assert [om(k) for k in range(6)] == [2, 2, 2, 2, 2, 2]
+
+
+def test_omega_mn_matches_closed_form():
+    # computed cold, index by index, against the generating function
+    _omega_mn.cache_clear()
+    p = make_params(3, 3, 1)
+    for k in range(41):
+        assert _omega_mn(3, 3, 1, k) == w1_closed_form(p, k), k
 
 
 def test_omega_json_round_trip():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wbcat import cli
 from wbcat.affine import multiply
 from wbcat.cli import main
 from wbcat.cyclotomic import make_params
@@ -26,6 +27,12 @@ def test_omega_example(capsys):
     assert code == 0 and out == '{"omega":"2"}\n'
 
 
+def test_omega_large_k(capsys):
+    # m = n = 1, delta = 0 gives b2 = 0, so omega_k = omega_1 = 2 for k >= 1
+    code, out, err = run_main(capsys, "omega", "--k", "5000", "--m", "1", "--n", "1", "--delta", "0")
+    assert (code, out, err) == (0, '{"omega":"2"}\n', "")
+
+
 def test_qcancel_example(capsys):
     code, out, _ = run_main(capsys, "qcancel", "--poly", "y1+y2", "--pair", "1,2")
     assert code == 0 and out == '{"result":true}\n'
@@ -36,6 +43,21 @@ def test_qcancel_example(capsys):
 def test_engine_error_exit_1(capsys):
     code, out, err = run_main(capsys, "omega", "--m", "2", "--n", "2", "--delta", "2", "--k", "1")
     assert code == 1 and out == "" and "degenerate" in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ZeroDivisionError("division by zero"), ArithmeticError("overflow"),
+     RecursionError("too deep"), AssertionError("invariant"), AssertionError()],
+)
+def test_engine_exceptions_map_to_json_error(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_omega", boom)
+    code, out, err = run_main(capsys, "omega", "--m", "1", "--n", "1", "--delta", "0", "--k", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": str(exc) or type(exc).__name__}
 
 
 def test_usage_error_exit_2(capsys):

@@ -132,6 +132,16 @@ def test_row_echelon_rank():
     assert row_echelon(rows) == 2
 
 
+def _check_sparse_rank(rows_sparse):
+    keys = sorted({k for r in rows_sparse for k in r})
+    before = [dict(r) for r in rows_sparse]
+    rank = sparse_rank(rows_sparse)
+    assert rows_sparse == before
+    assert [list(r) for r in rows_sparse] == [list(r) for r in before]
+    assert rank == row_echelon([[F(r.get(k, 0)) for k in keys] for r in rows_sparse])
+    return rank
+
+
 def test_sparse_rank_matches_dense():
     rows_dense = [
         [F(1), F(0), F(2)],
@@ -142,8 +152,51 @@ def test_sparse_rank_matches_dense():
     rows_sparse = [
         {j: v for j, v in enumerate(r) if v} for r in rows_dense
     ]
-    dense = [list(r) for r in rows_dense]
-    assert sparse_rank(rows_sparse) == row_echelon(dense)
+    assert _check_sparse_rank(rows_sparse) == 2
+    # full rank
+    assert _check_sparse_rank([{0: F(1)}, {1: F(1), 2: F(1)}, {0: F(1), 2: F(1)}]) == 3
+    # duplicate rows
+    assert _check_sparse_rank([{0: F(1), 3: F(2)}, {0: F(1), 3: F(2)}, {1: F(5)}]) == 2
+    # the last row is 2*row0 - row1/3 + row2
+    rows = [{0: F(1), 1: F(2)}, {1: F(3), 4: F(-6)}, {2: F(1), 4: F(1)}]
+    rows.append({0: F(2), 1: F(3), 2: F(1), 4: F(3)})
+    assert _check_sparse_rank(rows) == 3
+    # non-integer entries: rows 1/2 (1, 1/3) and 3/7 (1, 1/3) are parallel
+    rows = [{0: F(1, 2), 1: F(1, 6)}, {0: F(3, 7), 1: F(1, 7)}, {1: F(-2, 9), 2: F(5, 4)}]
+    assert _check_sparse_rank(rows) == 2
+    # explicit zero values are ignored, and an all-zero row adds nothing
+    rows = [{0: F(0), 1: F(1)}, {0: F(0), 1: F(0)}, {}, {0: F(2), 1: F(0)}]
+    assert _check_sparse_rank(rows) == 2
+    # tuple keys, shaped like faithfulness_rank's (beta, module key)
+    rows = [
+        {((1, 2), (0, 1)): F(1), ((2, 1), (1, 0)): F(-1)},
+        {((1, 2), (0, 1)): F(2), ((2, 1), (1, 0)): F(-2)},
+        {((2, 1), (1, 0)): F(1), ((2, 2), (1, 1)): F(3)},
+    ]
+    assert _check_sparse_rank(rows) == 2
+    assert sparse_rank([]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.integers(0, 5),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            max_size=4,
+        ),
+        max_size=6,
+    ),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)), max_size=3),
+)
+def test_sparse_rank_property(rows, combos):
+    # append some combinations of earlier rows so that dependent rows occur
+    rows = [dict(r) for r in rows]
+    for i, j, c in combos:
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append({k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)})
+    _check_sparse_rank(rows)
 
 
 def test_nullspace():
