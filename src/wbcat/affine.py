@@ -34,10 +34,12 @@ three inductive steps are exact at every truncation order:
 (the last line is the series involution f -> f(-u)/(1 - u^{-1} f(-u))
 rewritten in S-coordinates).
 
-Transports of dots along strands descend or ascend the cached canonical
-generator word of the diagram one crossing at a time; the main term
-travels with coefficient +1 and every correction consumes the dot, so
-all recursion is on strictly fewer dots.
+One routine, _transport, carries a dot along a strand in both directions:
+down from the top or up from the bottom, through the cached canonical
+generator word of the diagram (or the word moving a far arc's endpoint next
+to its partner), one crossing at a time. The main term travels with
+coefficient +1 and every correction consumes the dot, so all recursion is
+on strictly fewer dots and terminates without a depth bound.
 """
 
 from __future__ import annotations
@@ -218,18 +220,12 @@ def _divided_difference(a: int, b: int):
     return [(k, a + b - 1 - k, -1) for k in range(a, b)]
 
 
-def _descend_step(s_variant: bool, pos: int, i: int):
-    """Dot above crossing i travels down; (new_pos, corr_sign, corr_has_cap)."""
+def _step(s_variant: bool, pos: int, i: int):
+    """Dot at pos in {i, i+1} crosses crossing i, in either direction of
+    travel; (new_pos, corr_sign, corr_has_cap)."""
     if pos == i + 1:
         return i, (1 if s_variant else -1), not s_variant
     return i + 1, (-1 if s_variant else 1), not s_variant
-
-
-def _ascend_step(s_variant: bool, pos: int, i: int):
-    """Dot below crossing i travels up; (new_pos, corr_sign, corr_has_cap)."""
-    if pos == i:
-        return i + 1, (-1 if s_variant else 1), not s_variant
-    return i, (1 if s_variant else -1), not s_variant
 
 
 def _fold_above(tokens, base: WBDiagram):
@@ -242,16 +238,22 @@ def _fold_above(tokens, base: WBDiagram):
     return loops, cur
 
 
+def _chain(base: WBDiagram, word):
+    """Prefix diagrams base, t_1 base, t_2 t_1 base, ... of word over base."""
+    pres = [base]
+    for tok in word:
+        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
+        if loops:
+            raise AssertionError("prefix of a factorization closed a loop")
+        pres.append(nxt)
+    return tuple(pres)
+
+
 @lru_cache(maxsize=None)
 def _prefixes(D: WBDiagram):
     """(word, prefix diagrams P_0..P_L) of the canonical word of D."""
     word = word_for_diagram(D)
-    pres = [identity_diagram(D.bottom)]
-    for tok in word:
-        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
-        assert loops == 0
-        pres.append(nxt)
-    return word, tuple(pres)
+    return word, _chain(identity_diagram(D.bottom), word)
 
 
 def _add_at(vec, p: int, k: int = 1):
@@ -262,102 +264,81 @@ def _zero_at(vec, p: int):
     return vec[: p - 1] + (0,) + vec[p:]
 
 
-_MAX_DEPTH = 400
-_depth = 0
-
-
-def _push_through(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    """y_p on top of m where top position p continues to the bottom."""
+def _transport(p: int, m: Monomial, omega: OmegaSpec, word, pres, cap=None):
+    """Carry a dot at position p along the crossings of word, with pres the
+    prefix diagrams of word. With cap None the dot enters at the top of
+    pres[-1] = m.diagram and walks the word downward; otherwise it enters at
+    the bottom of pres[0] and walks upward, and m.diagram = cap o pres[-1].
+    Returns (final position of the dot, corrections): the corrections are
+    the normalized terms in which a crossing consumed the dot."""
     D = m.diagram
-    word, pres = _prefixes(D)
     out = DecoratedElement.zero(D.bottom, D.top)
     pos = p
-    for l in range(len(word), 0, -1):
+    steps = range(len(word), 0, -1) if cap is None else range(1, len(word) + 1)
+    for l in steps:
         kind, i = word[l - 1]
-        if kind in ("e", "eh"):
-            assert pos not in (i, i + 1), "through-strand descent met a cap"
-            continue
         if pos not in (i, i + 1):
             continue
+        if kind != "c":
+            raise AssertionError("dot transport met a cap")
         below = pres[l - 1].top
-        s_variant = below[i - 1] == below[i]
-        pos, sign, has_cap = _descend_step(s_variant, pos, i)
+        pos, sign, has_cap = _step(below[i - 1] == below[i], pos, i)
         repl = [("eh", i)] if has_cap else []
         loops, C = _fold_above(repl + list(word[l:]), pres[l - 1])
+        if cap is not None:
+            more, C = compose_diagrams(cap, C)
+            loops += more
         out = out + normalize_mono(Monomial(C, m.gamma, m.eta), omega).scale(
             sign * omega(0) ** loops
         )
-    main = Monomial(D, _add_at(m.gamma, pos), m.eta)
-    return out + DecoratedElement.from_monomial(main)
+    return pos, out
 
 
 @lru_cache(maxsize=None)
-def _arc_transport(D: WBDiagram, p: int):
-    x = D.partner("t", p)[1]
-    assert x < p - 1
+def _arc_transport(D: WBDiagram, side: str, p: int):
+    """(word, prefixes, cap) routing endpoint p of a far arc {p, q} on side
+    ("t" or "b") to q + 1 or q - 1, next to q. Top: D = T o Dh with the arc
+    of Dh at {q, q+1}, prefixes from Dh to D, cap None. Bottom: D = Dh o T
+    with the arc of Dh at {q-1, q}, prefixes from the identity to T, cap Dh."""
+    q = D.partner(side, p)[1]
+    if abs(p - q) < 2:
+        raise AssertionError("arc transport needs a far arc")
+    dest, shift = (q + 1, 1) if q < p else (q - 1, -1)
+    lo, hi = min(p, dest), max(p, dest)
 
     def remap(j):
         if j == p:
-            return x + 1
-        if x + 1 <= j <= p - 1:
-            return j + 1
+            return dest
+        if lo <= j <= hi:
+            return j + shift
         return j
 
     n = D.n
-    newtop = [0] * n
+    ends = D.top if side == "t" else D.bottom
+    moved = [0] * n
+    arr = [0] * n  # arr[top slot - 1] = bottom slot - 1 of T
     for j in range(1, n + 1):
-        newtop[remap(j) - 1] = D.top[j - 1]
-    pairs = []
-    for (s1, i1), (s2, i2) in D.pairs:
-        q1 = (s1, remap(i1) if s1 == "t" else i1)
-        q2 = (s2, remap(i2) if s2 == "t" else i2)
-        pairs.append((q1, q2))
-    Dh = WBDiagram(D.bottom, newtop, pairs)
-    # T routes slot x+1 -> p, sliding x+2..p down by one
-    arr = [0] * n
-    for j in range(1, n + 1):
-        # dest of slot j under T
-        if j == x + 1:
-            dest = p
-        elif x + 2 <= j <= p:
-            dest = j - 1
+        moved[remap(j) - 1] = ends[j - 1]
+        if side == "t":
+            arr[j - 1] = remap(j) - 1
         else:
-            dest = j
-        arr[dest - 1] = j - 1
-    tword = tuple(sort_word(arr))
-    assert all(x + 1 <= i <= p - 1 for _, i in tword)
-    pres = [Dh]
-    for tok in tword:
-        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
-        assert loops == 0
-        pres.append(nxt)
-    assert pres[-1] == D
-    return tword, tuple(pres)
-
-
-def _arc_far_parts(p: int, m: Monomial, omega: OmegaSpec):
-    """y_p on top of m with a far top arc {x, p}: returns (main, corrections)
-    with main = -(D, gamma, eta + delta_x) and corrections an element."""
-    D = m.diagram
-    x = D.partner("t", p)[1]
-    tword, pres = _arc_transport(D, p)
-    corr = DecoratedElement.zero(D.bottom, D.top)
-    pos = p
-    for l in range(len(tword), 0, -1):
-        _, i = tword[l - 1]
-        if pos not in (i, i + 1):
-            continue
-        below = pres[l - 1].top
-        s_variant = below[i - 1] == below[i]
-        pos, sign, has_cap = _descend_step(s_variant, pos, i)
-        repl = [("eh", i)] if has_cap else []
-        loops, C = _fold_above(repl + list(tword[l:]), pres[l - 1])
-        corr = corr + normalize_mono(Monomial(C, m.gamma, m.eta), omega).scale(
-            sign * omega(0) ** loops
-        )
-    assert pos == x + 1
-    main = Monomial(D, m.gamma, _add_at(m.eta, x))
-    return main, corr
+            arr[remap(j) - 1] = j - 1
+    word = tuple(sort_word(arr))
+    if not all(lo <= i < hi for _, i in word):
+        raise AssertionError("arc transport word leaves the arc")
+    pairs = [
+        tuple((s, remap(i) if s == side else i) for s, i in pair) for pair in D.pairs
+    ]
+    if side == "t":
+        pres, cap = _chain(WBDiagram(D.bottom, moved, pairs), word), None
+        loops, whole = 0, pres[-1]
+    else:
+        cap = WBDiagram(moved, D.top, pairs)
+        pres = _chain(identity_diagram(D.bottom), word)
+        loops, whole = compose_diagrams(cap, pres[-1])
+    if loops or whole != D:
+        raise AssertionError("arc transport does not rebuild the diagram")
+    return word, pres, cap
 
 
 def push_dot(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
@@ -366,15 +347,19 @@ def push_dot(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     kind = D.top_kind(p)
     if kind == "arcL":
         return DecoratedElement.from_monomial(Monomial(D, m.gamma, _add_at(m.eta, p)))
-    if kind == "arcR":
-        x = D.partner("t", p)[1]
-        if x == p - 1:
-            return DecoratedElement.from_monomial(
-                Monomial(D, m.gamma, _add_at(m.eta, x)), -1
-            )
-        main, corr = _arc_far_parts(p, m, omega)
-        return corr + DecoratedElement.from_monomial(main, -1)
-    return _push_through(p, m, omega)
+    if kind == "through":
+        pos, corr = _transport(p, m, omega, *_prefixes(D))
+        return corr + DecoratedElement.from_monomial(
+            Monomial(D, _add_at(m.gamma, pos), m.eta)
+        )
+    x = D.partner("t", p)[1]
+    main = Monomial(D, m.gamma, _add_at(m.eta, x))
+    if x == p - 1:
+        return DecoratedElement.from_monomial(main, -1)
+    pos, corr = _transport(p, m, omega, *_arc_transport(D, "t", p))
+    if pos != x + 1:
+        raise AssertionError("top arc transport ended off the arc")
+    return corr + DecoratedElement.from_monomial(main, -1)
 
 
 def push_dot_bottom(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
@@ -384,68 +369,13 @@ def push_dot_bottom(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     if kind in ("through", "arcR"):
         return DecoratedElement.from_monomial(Monomial(D, _add_at(m.gamma, p), m.eta))
     v = D.partner("b", p)[1]
-    if v == p + 1:
-        return DecoratedElement.from_monomial(
-            Monomial(D, _add_at(m.gamma, v), m.eta), -1
-        )
-    # far bottom arc {p, v}: D = Dh o T' with the arc moved to {v-1, v}
-    tword, pres, Dh = _bottom_arc_transport(D, p)
-    out = DecoratedElement.zero(D.bottom, D.top)
-    pos = p
-    for l in range(1, len(tword) + 1):
-        _, i = tword[l - 1]
-        if pos not in (i, i + 1):
-            continue
-        below = pres[l - 1].top
-        s_variant = below[i - 1] == below[i]
-        pos, sign, has_cap = _ascend_step(s_variant, pos, i)
-        repl = [("eh", i)] if has_cap else []
-        loops1, upper = _fold_above(repl + list(tword[l:]), pres[l - 1])
-        loops2, C = compose_diagrams(Dh, upper)
-        out = out + normalize_mono(Monomial(C, m.gamma, m.eta), omega).scale(
-            sign * omega(0) ** (loops1 + loops2)
-        )
-    assert pos == v - 1
     main = Monomial(D, _add_at(m.gamma, v), m.eta)
-    return out + DecoratedElement.from_monomial(main, -1)
-
-
-@lru_cache(maxsize=None)
-def _bottom_arc_transport(D: WBDiagram, p: int):
-    v = D.partner("b", p)[1]
-    assert v > p + 1
-
-    def remap(j):
-        if j == p:
-            return v - 1
-        if p + 1 <= j <= v - 1:
-            return j - 1
-        return j
-
-    n = D.n
-    newbot = [0] * n
-    for j in range(1, n + 1):
-        newbot[remap(j) - 1] = D.bottom[j - 1]
-    pairs = []
-    for (s1, i1), (s2, i2) in D.pairs:
-        q1 = (s1, remap(i1) if s1 == "b" else i1)
-        q2 = (s2, remap(i2) if s2 == "b" else i2)
-        pairs.append((q1, q2))
-    Dh = WBDiagram(newbot, D.top, pairs)
-    # T' routes bottom p up to position v-1, sliding p+1..v-1 down
-    arr = [0] * n
-    for j in range(1, n + 1):
-        arr[remap(j) - 1] = j - 1
-    tword = tuple(sort_word(arr))
-    assert all(p <= i <= v - 2 for _, i in tword)
-    pres = [identity_diagram(D.bottom)]
-    for tok in tword:
-        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
-        assert loops == 0
-        pres.append(nxt)
-    loops, whole = compose_diagrams(Dh, pres[-1])
-    assert loops == 0 and whole == D
-    return tword, tuple(pres), Dh
+    if v == p + 1:
+        return DecoratedElement.from_monomial(main, -1)
+    pos, corr = _transport(p, m, omega, *_arc_transport(D, "b", p))
+    if pos != v - 1:
+        raise AssertionError("bottom arc transport ended off the arc")
+    return corr + DecoratedElement.from_monomial(main, -1)
 
 
 def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
@@ -499,7 +429,8 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     a, b = m.eta[x - 1], m.eta[x]
     eta_rest = _zero_at(_zero_at(m.eta, x), x + 1)
     loops, S = compose_diagrams(token_diagram(("c", x), B), D)
-    assert loops == 0
+    if loops:
+        raise AssertionError("a crossing closed a loop")
     out = DecoratedElement.zero(D.bottom, S.top)
     if s_variant:
         main_eta = _add_at(_add_at(eta_rest, x, b), x + 1, a)
@@ -510,7 +441,8 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         return out
     own_arc = D.partner("t", x) == ("t", x + 1)
     if own_arc:
-        assert b == 0
+        if b:
+            raise AssertionError("dot stored at the right end of a top arc")
         main = Monomial(S, m.gamma, _add_at(eta_rest, x, a))
         out = out + DecoratedElement.from_monomial(main, Fraction(-1) ** a)
     else:
@@ -536,9 +468,11 @@ def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     if D.partner("t", x) == ("t", x + 1):
         # contraction: the cap closes over the top arc {x, x+1}
         k = m.eta[x - 1]
-        assert m.eta[x] == 0
+        if m.eta[x]:
+            raise AssertionError("dot stored at the right end of a top arc")
         loops, C = compose_diagrams(token_diagram((kind, x), B), D)
-        assert loops == 1
+        if loops != 1:
+            raise AssertionError("contraction did not close exactly one loop")
         base = Monomial(C, m.gamma, _zero_at(m.eta, x))
         poly = _w_poly(B, x, k, omega)
         out = DecoratedElement.zero(D.bottom, C.top)
@@ -554,7 +488,8 @@ def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     if m.eta[x] > 0:
         return _edot_preclear(kind, x, x + 1, m, omega)
     loops, C = compose_diagrams(token_diagram((kind, x), B), D)
-    assert loops == 0
+    if loops:
+        raise AssertionError("cap-cup on open strands closed a loop")
     return normalize_mono(Monomial(C, m.gamma, m.eta), omega)
 
 
@@ -564,13 +499,14 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     dot, and y_P commutes past the cap."""
     D = m.diagram
     P = D.partner("t", at)[1]
-    assert P not in (x, x + 1)
+    if P in (x, x + 1):
+        raise AssertionError("pre-clearing a dot from the contracted arc")
     m1 = Monomial(D, m.gamma, _add_at(m.eta, at, -1))
     if P == at + 1:
         # adjacent arc {at, P}: y_P . m1 = -m with no corrections
         corr = DecoratedElement.zero(D.bottom, D.top)
     else:
-        _, corr = _arc_far_parts(P, m1, omega)
+        _, corr = _transport(P, m1, omega, *_arc_transport(D, "t", P))
     t1 = apply_element_token((kind, x), corr, omega)
     t2 = _map_terms(
         _edot(kind, x, m1, omega), lambda mm: push_dot(P, mm, omega)
@@ -579,20 +515,14 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
 
 
 def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    global _depth
-    _depth += 1
-    try:
-        assert _depth < _MAX_DEPTH, "rewriting recursion exceeded bound"
-        kind, i = tok
-        if kind == "y":
-            return push_dot(i, m, omega)
-        if kind == "c":
-            return _crossing(i, m, omega)
-        if kind in ("e", "eh"):
-            return _edot(kind, i, m, omega)
-        raise ValueError(f"unknown token {tok!r}")
-    finally:
-        _depth -= 1
+    kind, i = tok
+    if kind == "y":
+        return push_dot(i, m, omega)
+    if kind == "c":
+        return _crossing(i, m, omega)
+    if kind in ("e", "eh"):
+        return _edot(kind, i, m, omega)
+    raise ValueError(f"unknown token {tok!r}")
 
 
 def apply_element_token(tok, el: DecoratedElement, omega: OmegaSpec):

@@ -19,12 +19,11 @@ Conventions
       atom     = rational | variable | "(" expr ")" | "-" atom ;
       rational = digits ("/" digits)? ;
       variable = "y" digits ;
-
-* WB_THREADS caps internal parallelism (structure constants).
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -136,8 +135,13 @@ def cmd_basis(args):
 
 
 def cmd_dim(args):
+    """2^k k! for k strands: the dimension when the basis theorem applies,
+    otherwise only the size of a spanning set."""
     A = _parse_seq(args.seq)
-    return _emit({"dim": len(cyclotomic.basis(A, _params_from(args)))})
+    size = 2 ** len(A) * math.factorial(len(A))
+    if cyclotomic.basis_hypotheses(A, _params_from(args)):
+        return _emit({"dim": size})
+    return _emit({"certified": False, "spanning": size})
 
 
 def cmd_struct_consts(args):

@@ -25,9 +25,7 @@ of positions gives the same value as substituting 0, 0).
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -117,7 +115,8 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
     Ap = (C[j - 1],) + C[: j - 1] + C[j:]
     word = [("c", i) for i in range(1, j)]  # routes bottom 1 to top j
     T = element_for_word(word, Ap, om)
-    assert T.top == C
+    if T.top != C:
+        raise AssertionError("crossing word does not end on the object")
     Tbar = element_for_word(list(reversed(word)), C, om)
     y1 = generator("y", Ap, 1)
     Q = (
@@ -127,7 +126,8 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
     )
     yj = generator("y", C, j)
     repl = multiply(yj, yj, om) - multiply(T, multiply(Q, Tbar, om), om)
-    assert repl.degree() <= 1, "conjugated quadratic kept degree 2"
+    if repl.degree() > 1:
+        raise AssertionError("conjugated quadratic kept degree 2")
     return repl
 
 
@@ -173,11 +173,16 @@ def _drop2(vec, j):
     return vec[: j - 1] + (vec[j - 1] - 2,) + vec[j:]
 
 
+def basis_hypotheses(A, p: CycloParams) -> bool:
+    """True iff the basis theorem applies to End(A): m, n >= r+t and r >= 1."""
+    r, t = rt_counts(orseq(A))
+    return r >= 1 and p.m >= r + t and p.n >= r + t
+
+
 def basis(A, p: CycloParams):
     """All cyclotomic regular monomials on A: 2^{r+t} (r+t)! of them."""
     A = orseq(A)
-    r, t = rt_counts(A)
-    if r < 1 or p.m < r + t or p.n < r + t:
+    if not basis_hypotheses(A, p):
         warnings.warn(
             "basis hypotheses violated (need m, n >= r+t and r >= 1); "
             "the monomial list may not be linearly independent",
@@ -192,28 +197,13 @@ def structure_constants(A, p: CycloParams):
     A = orseq(A)
     bas = basis(A, p)
     index = {m: k for k, m in enumerate(bas)}
-    threads = int(os.environ.get("WB_THREADS", "1"))
-
-    def row(i):
-        out = []
-        bi = DecoratedElement.from_monomial(bas[i])
-        for j in range(len(bas)):
-            prod = cyclo_reduce(
-                multiply(bi, DecoratedElement.from_monomial(bas[j]), p.omega), p
-            )
-            for m, c in prod.terms.items():
-                out.append((i, j, index[m], c))
-        return out
-
+    elems = [DecoratedElement.from_monomial(m) for m in bas]
     triples = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(row, range(len(bas)))
-    else:
-        rows = map(row, range(len(bas)))
-    for chunk in rows:
-        for i, j, k, c in chunk:
-            triples[(i, j, k)] = c
+    for i, bi in enumerate(elems):
+        for j, bj in enumerate(elems):
+            prod = cyclo_reduce(multiply(bi, bj, p.omega), p)
+            for m, c in prod.terms.items():
+                triples[(i, j, index[m])] = c
     return triples
 
 

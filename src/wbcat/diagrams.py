@@ -60,10 +60,6 @@ def swap_seq(A, i: int) -> tuple:
 # Diagrams. Points are ('b', i) / ('t', i), 1-based.
 
 
-def _pair_key(pt):
-    return pt  # ('b', i) < ('t', j) lexicographically since 'b' < 't'
-
-
 class WBDiagram:
     """Perfect matching between bottom object `bottom` and top object `top`."""
 
@@ -75,7 +71,7 @@ class WBDiagram:
         if rt_counts(bottom) != rt_counts(top):
             raise ValueError("bottom and top must have the same (r,t)")
         n = len(bottom)
-        canon = tuple(sorted(tuple(sorted(p, key=_pair_key)) for p in pairs))
+        canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
         partner = {}
         for p, q in canon:
             if p in partner or q in partner or p == q:
@@ -313,13 +309,6 @@ class Monomial:
 
     def dots(self) -> int:
         return sum(self.gamma) + sum(self.eta)
-
-    def with_dots(self, gamma=None, eta=None) -> "Monomial":
-        return Monomial(
-            self.diagram,
-            self.gamma if gamma is None else gamma,
-            self.eta if eta is None else eta,
-        )
 
     def sort_key(self):
         return (self.diagram.pairs, self.gamma, self.eta)
@@ -563,8 +552,10 @@ def word_for_diagram(D: WBDiagram):
     cur = identity_diagram(D.bottom)
     for tok in word:
         loops, cur = compose_diagrams(token_diagram(tok, cur.top), cur)
-        assert loops == 0, "canonical word produced a loop"
-    assert cur == D, "canonical word does not rebuild the diagram"
+        if loops:
+            raise AssertionError("canonical word produced a loop")
+    if cur != D:
+        raise AssertionError("canonical word does not rebuild the diagram")
     return tuple(word)
 
 

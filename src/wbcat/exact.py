@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to Fraction."""

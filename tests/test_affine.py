@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from wbcat import affine
 from wbcat.affine import (
     OmegaRangeError,
     OmegaSpec,
+    _arc_transport,
     _omega_mn,
     check_relation,
     element_for_word,
@@ -297,14 +299,24 @@ def random_monomial(rng, A, B, maxdot=2):
     return Monomial(D, gamma, eta)
 
 
-def test_products_match_representation():
+def test_products_match_representation(monkeypatch):
     rng = random.Random(11)
     N = 3
     ctx = GlContext.trivial(N)
     om = OmegaSpec.trivial(N)
-    for trial in range(50):
-        n = rng.choice([2, 3])
-        group = objects_of_size(n)
+    far = set()  # (side, word length) of every far-arc transport
+
+    def arc_transport(D, side, p):
+        out = _arc_transport(D, side, p)
+        far.add((side, len(out[0])))
+        return out
+
+    monkeypatch.setattr(affine, "_arc_transport", arc_transport)
+    # 2- and 3-strand objects, then 4-strand objects with (r, t) = (2, 2),
+    # whose far arcs need transport words of length >= 2
+    for trial in range(56):
+        n = rng.choice([2, 3]) if trial < 50 else 4
+        group = [o for o in objects_of_size(n) if n < 4 or rt_counts(o) == (2, 2)]
         A, B, C = rng.choice(group), rng.choice(group), rng.choice(group)
         if rt_counts(A) != rt_counts(B) or rt_counts(B) != rt_counts(C):
             continue
@@ -314,6 +326,7 @@ def test_products_match_representation():
         assert all(is_regular(m) for m in prod.terms)
         for v in spanning_vectors(ctx, A, max_deg=0):
             assert represent(prod, v) == represent(x, represent(y, v))
+    assert {("t", 2), ("b", 2)} <= far
 
 
 def test_associativity_sampled():

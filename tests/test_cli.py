@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wbcat
 from wbcat import cli
 from wbcat.affine import multiply
 from wbcat.cli import main
@@ -20,6 +23,27 @@ def run_main(capsys, *argv):
 def test_dim_example(capsys):
     code, out, _ = run_main(capsys, "dim", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 0 and out == '{"dim":8}\n'
+
+
+def test_dim_outside_basis_hypotheses_is_not_a_dimension(capsys):
+    # m = n = 1 < r + t = 2: the 8 regular monomials only span, and the
+    # representation has rank 6
+    args = ("--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0")
+    code, out, _ = run_main(capsys, "dim", *args)
+    assert code == 0 and json.loads(out) == {"certified": False, "spanning": 8}
+    with pytest.warns(UserWarning, match="basis hypotheses"):
+        code, out, _ = run_main(capsys, "faithfulness", *args)
+    assert code == 0 and json.loads(out)["rank"] == 6
+
+
+def test_no_assert_statements_in_package():
+    # invariants must survive python -O, which strips assert statements
+    offenders = []
+    for path in sorted(Path(wbcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_omega_example(capsys):
