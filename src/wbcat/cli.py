@@ -11,6 +11,16 @@ Conventions
   dimensions and indices are plain integers;
 * JSON keys are sorted and separators fixed, so reruns are byte-identical;
 * elements are read either inline as JSON or from a file via @path;
+* input sizes are bounded before any work starts, with an engine error
+  (exit 1) beyond the bound: an orientation sequence --seq has at most
+  MAX_STRANDS = 8 entries, `omega --k` lies in 0..MAX_OMEGA_K = 10000
+  (omega_k is a loop of k steps) and `wseries --k` in 0..MAX_WSERIES_K = 64
+  (w_k is a polynomial whose size grows with k). The commands that
+  enumerate the basis grow like 2^k k! in the number k of strands;
+* sizes of End(A) are printed as "dim" only under the basis hypotheses
+  (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
+  only span, and the size is printed as "spanning" next to
+  "certified": false;
 * polynomials use the grammar of exact.poly_parse:
 
       expr     = term (("+" | "-") term)* ;
@@ -39,6 +49,10 @@ from .diagrams import (
 from .exact import poly_parse
 from .relations import relation_ids
 
+MAX_STRANDS = 8
+MAX_OMEGA_K = 10_000
+MAX_WSERIES_K = 64
+
 # generic parameter-free omega values for relation checking (relations hold
 # identically in omega; any point with enough coordinates will do)
 _GENERIC_OMEGA = OmegaSpec.from_list(
@@ -58,7 +72,14 @@ def _parse_seq(text):
         raise ValueError(f"bad orientation sequence {text!r}")
     if not entries or any(e not in (1, -1) for e in entries):
         raise ValueError("orientation sequence entries must be 1 or -1")
+    if len(entries) > MAX_STRANDS:
+        raise ValueError(f"orientation sequence has more than {MAX_STRANDS} entries")
     return orseq(entries)
+
+
+def _check_k(k, limit):
+    if not 0 <= k <= limit:
+        raise ValueError(f"--k must lie in 0..{limit}")
 
 
 def _load_json_arg(text):
@@ -134,26 +155,35 @@ def cmd_basis(args):
     )
 
 
+def _size_fields(A, p, size):
+    """{"dim": size} when the basis theorem applies to End(A), otherwise
+    {"certified": False, "spanning": size}: the monomials only span."""
+    if cyclotomic.basis_hypotheses(A, p):
+        return {"dim": size}
+    return {"certified": False, "spanning": size}
+
+
+def _monomial_count(A):
+    """2^k k! regular monomials on k strands."""
+    return 2 ** len(A) * math.factorial(len(A))
+
+
 def cmd_dim(args):
-    """2^k k! for k strands: the dimension when the basis theorem applies,
-    otherwise only the size of a spanning set."""
     A = _parse_seq(args.seq)
-    size = 2 ** len(A) * math.factorial(len(A))
-    if cyclotomic.basis_hypotheses(A, _params_from(args)):
-        return _emit({"dim": size})
-    return _emit({"certified": False, "spanning": size})
+    return _emit(_size_fields(A, _params_from(args), _monomial_count(A)))
 
 
 def cmd_struct_consts(args):
     A = _parse_seq(args.seq)
-    table = cyclotomic.structure_constants(A, _params_from(args))
+    p = _params_from(args)
+    table = cyclotomic.structure_constants(A, p)
     triples = [[i, j, k, str(c)] for (i, j, k), c in sorted(table.items())]
-    d = len(cyclotomic.basis(A, _params_from(args)))
-    return _emit({"dim": d, "triples": triples})
+    return _emit({**_size_fields(A, p, _monomial_count(A)), "triples": triples})
 
 
 def cmd_wseries(args):
     A = _parse_seq(args.seq)
+    _check_k(args.k, MAX_WSERIES_K)
     omega = _omega_from(args)
     if omega is None:
         raise ValueError("wseries needs --m/--n/--delta or --omega-json")
@@ -162,6 +192,7 @@ def cmd_wseries(args):
 
 
 def cmd_omega(args):
+    _check_k(args.k, MAX_OMEGA_K)
     return _emit({"omega": str(_params_from(args).omega(args.k))})
 
 
@@ -241,9 +272,12 @@ def cmd_young_enum(args):
 def cmd_faithfulness(args):
     A = _parse_seq(args.seq)
     p = _params_from(args)
-    rank = glrep.faithfulness_rank(A, p)
     d = len(cyclotomic.basis(A, p))
-    return _emit({"dim": d, "faithful": rank == d, "rank": rank})
+    rank = glrep.faithfulness_rank(A, p)
+    out = _size_fields(A, p, d)
+    if "dim" in out:
+        out["faithful"] = rank == d
+    return _emit({**out, "rank": rank})
 
 
 def build_parser() -> argparse.ArgumentParser:

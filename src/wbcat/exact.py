@@ -364,7 +364,7 @@ def series_div(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     g0 = g[0]
     if not g0.is_constant() or g0.is_zero():
         raise ValueError("non-invertible leading coefficient")
-    inv0 = 1 / g0.constant_term()
+    inv0 = Fraction(1) / g0.constant_term()
     n = min(f.order, g.order)
     out = []
     for k in range(n + 1):
@@ -405,7 +405,9 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Fraction: dense row reduction and a sparse rank.
+# Exact linear algebra over Q: dense row reduction and a sparse rank. Entries
+# may be int or Fraction; every division goes through Fraction, so integer
+# input never turns into float.
 
 
 def row_echelon(rows):
@@ -413,7 +415,7 @@ def row_echelon(rows):
 
     Each pivot row is divided by its pivot and the pivot column is cleared
     in every other row, so the first `rank` rows end in reduced row echelon
-    form. rows: list of lists of Fraction. Returns the rank. Rows are
+    form. rows: list of lists of int or Fraction. Returns the rank. Rows are
     modified.
     """
     if not rows:
@@ -429,8 +431,8 @@ def row_echelon(rows):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
@@ -442,8 +444,8 @@ def row_echelon(rows):
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts key -> Fraction); zero values are
-    ignored and the input is not modified.
+    """Rank of a list of sparse rows (dicts key -> int or Fraction); zero
+    values are ignored and the input is not modified.
 
     Each row is reduced against every pivot key it contains, pass after
     pass, until it contains none. If anything is left, its new pivot is the
@@ -474,7 +476,7 @@ def sparse_rank(rows) -> int:
             hits = [k for k in row if k in pivots]
         if row:
             k0 = min(row, key=colcount.__getitem__)
-            inv = 1 / row[k0]
+            inv = Fraction(1) / row[k0]
             pivots[k0] = {k: v * inv for k, v in row.items()}
     return len(pivots)
 

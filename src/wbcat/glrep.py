@@ -6,8 +6,11 @@ trivial module or the parabolic highest-weight module with one-dimensional
 highest weight space of weight -delta(eps_1+...+eps_m) for the two-block
 parabolic gl_m + gl_n + (upper right). The negative nilradical
 u^- = span{E_ij : i > m >= j} is abelian, so PBW monomials x^mu z in the
-symbols x_ij form a basis of M; module vectors are finite exact Fraction
-combinations of keys (mu, slots).
+symbols x_ij form a basis of M; module vectors are finite exact
+combinations of keys (mu, slots). A coefficient is an int whenever it is
+integral and a Fraction only when it is not: the action is defined over
+Z[1/2], and halves come only from the N/2 shift of y at odd N or from
+scaling by a non-integral Fraction.
 
 Generators act by: crossings swap adjacent slots; cap-cups are the delta
 maps v_c (x) v*_d -> delta_cd sum_k (k, k) (hatted: exchanging the two
@@ -17,6 +20,12 @@ elementary action on a slot is E_ab v_c = delta_bc v_a on V and
 E_ab v*_c = -delta_ac v*_b on V^-1; on the module factor E_ab commutes
 past the x-symbols via [E_ab, E_ij] = delta_bi E_aj - delta_ja E_ib down
 to E_aa z = -delta z (a <= m) and E u^- multiplication.
+
+Between two slots, Omega is read from a small cached table (_slot_pair)
+built from the slot rule above by summing over (a, b): a swap when the
+slots have the same orientation, minus a cap-cup when they are opposite.
+Between the module and a slot it runs over the new slot value d and
+applies the cached module action.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -66,36 +75,81 @@ class GlContext:
         return cls("parabolic", m + n, m, n, delta)
 
 
+def _num(c):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(acc: dict) -> dict:
+    """Drop the zero coefficients of an accumulator; a Fraction that has
+    become integral turns back into an int."""
+    return {
+        k: c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for k, c in acc.items()
+        if c
+    }
+
+
 @lru_cache(maxsize=None)
 def _module_action(m: int, delta: int, a: int, b: int, mu: tuple):
-    """E_ab acting on x^mu z in the parabolic module: ((coeff, mu'), ...)."""
+    """E_ab acting on x^mu z in the parabolic module: ((coeff, mu'), ...)
+    with int coefficients."""
     if not mu:
         if a > m >= b:
-            return ((Fraction(1), ((a, b),)),)
+            return ((1, ((a, b),)),)
         if a == b and a <= m:
-            return ((Fraction(-delta), ()),) if delta else ()
+            return ((-delta, ()),) if delta else ()
         return ()
     (i, j) = mu[0]
     rest = mu[1:]
     acc = {}
-
-    def bump(c, nu):
-        if c:
-            acc[nu] = acc.get(nu, Fraction(0)) + c
-
     for c, nu in _module_action(m, delta, a, b, rest):
-        bump(c, tuple(sorted(nu + ((i, j),))))
+        nu = tuple(sorted(nu + ((i, j),)))
+        acc[nu] = acc.get(nu, 0) + c
     if b == i:
         for c, nu in _module_action(m, delta, a, j, rest):
-            bump(c, nu)
+            acc[nu] = acc.get(nu, 0) + c
     if j == a:
         for c, nu in _module_action(m, delta, i, b, rest):
-            bump(-c, nu)
+            acc[nu] = acc.get(nu, 0) - c
     return tuple((c, nu) for nu, c in acc.items() if c)
 
 
+def _slot_E(up: bool, a: int, b: int, e: int):
+    """E_ab on a slot holding v_e (up) or v*_e: (e', sign), or None for 0."""
+    if up:
+        return (a, 1) if b == e else None
+    return (b, -1) if a == e else None
+
+
+@lru_cache(maxsize=None)
+def _slot_pair(N: int, up_j: bool, up_k: bool, e: int, c: int):
+    """Omega = sum_{a,b} E_ab (x) E_ba on slots j < k holding e and c:
+    ((e', c', sign), ...). A swap when the slots have the same orientation,
+    -sum_d (d, d) when they are opposite and e = c, nothing otherwise."""
+    out = []
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            at_j, at_k = _slot_E(up_j, a, b, e), _slot_E(up_k, b, a, c)
+            if at_j and at_k:
+                out.append((at_j[0], at_k[0], at_j[1] * at_k[1]))
+    return tuple(out)
+
+
+def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
+    """A ModuleVector over terms that are already clean (see _clean)."""
+    v = ModuleVector.__new__(ModuleVector)
+    v.ctx, v.A, v.terms = ctx, A, terms
+    return v
+
+
 class ModuleVector:
-    """Exact vector in M (x) V^{(x)A}: keys (mu, slots) -> Fraction."""
+    """Exact vector in M (x) V^{(x)A}: keys (mu, slots) -> nonzero int, or
+    Fraction when the coefficient is not integral."""
 
     __slots__ = ("ctx", "A", "terms")
 
@@ -105,7 +159,7 @@ class ModuleVector:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = _num(c)
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -120,37 +174,35 @@ class ModuleVector:
             raise ValueError("slot index out of range")
         if mu and ctx.kind == "trivial":
             raise ValueError("trivial module has no x-symbols")
-        return cls(ctx, A, {(tuple(sorted(mu)), slots): Fraction(1)})
+        return _vector(ctx, A, {(tuple(sorted(mu)), slots): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, mu, slots) -> Fraction:
-        return self.terms.get((tuple(sorted(mu)), tuple(slots)), Fraction(0))
+        return Fraction(self.terms.get((tuple(sorted(mu)), tuple(slots)), 0))
 
     def __add__(self, other) -> "ModuleVector":
         if self.A != other.A:
             raise ValueError("object mismatch")
         out = dict(self.terms)
+        get = out.get
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
+            s = get(k, 0) + c
             if s:
-                out[k] = s
+                out[k] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
-                out.pop(k, None)
-        v = ModuleVector.__new__(ModuleVector)
-        v.ctx, v.A, v.terms = self.ctx, self.A, out
-        return v
+                del out[k]
+        return _vector(self.ctx, self.A, out)
 
     def __sub__(self, other) -> "ModuleVector":
         return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleVector":
-        c = Fraction(c)
-        v = ModuleVector.__new__(ModuleVector)
-        v.ctx, v.A = self.ctx, self.A
-        v.terms = {k: c * x for k, x in self.terms.items()} if c else {}
-        return v
+        c = _num(c)
+        return _vector(
+            self.ctx, self.A, _clean({k: c * x for k, x in self.terms.items()}) if c else {}
+        )
 
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
@@ -177,30 +229,21 @@ def zero_vector(ctx, A) -> ModuleVector:
 
 def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
     """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only."""
-    out = {}
-
-    def add(key, c):
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-    for (mu, slots), coeff in v.terms.items():
-        if pos == 0:
-            if ctx.kind == "trivial":
-                continue
-            for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
-                add((nu, slots), coeff * c2)
-        else:
-            e = slots[pos - 1]
-            if v.A[pos - 1] == 1:
-                if b == e:
-                    add((mu, slots[: pos - 1] + (a,) + slots[pos:]), coeff)
-            else:
-                if a == e:
-                    add((mu, slots[: pos - 1] + (b,) + slots[pos:]), -coeff)
-    return ModuleVector(ctx, v.A, out)
+    acc = {}
+    if pos == 0:
+        if ctx.kind == "parabolic":
+            for (mu, slots), coeff in v.terms.items():
+                for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
+                    key = (nu, slots)
+                    acc[key] = acc.get(key, 0) + coeff * c2
+    else:
+        up = v.A[pos - 1] == 1
+        for (mu, slots), coeff in v.terms.items():
+            hit = _slot_E(up, a, b, slots[pos - 1])
+            if hit:
+                key = (mu, slots[: pos - 1] + (hit[0],) + slots[pos:])
+                acc[key] = acc.get(key, 0) + hit[1] * coeff
+    return _vector(ctx, v.A, _clean(acc))
 
 
 def apply_E(ctx, a: int, b: int, v: ModuleVector) -> ModuleVector:
@@ -219,46 +262,42 @@ def omega_pair(v: ModuleVector, j: int, k: int) -> ModuleVector:
         raise ValueError("need two distinct factors, at least one slot")
     ctx = v.ctx
     N = ctx.N
-    out = {}
-
-    def add(key, c):
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-    for (mu, slots), coeff in v.terms.items():
-        c = slots[k - 1]
-        up = v.A[k - 1] == 1
-        for d in range(1, N + 1):
-            # E_ba at slot k constrains (a, b); E_ab goes to factor j
-            if up:
-                a, b, sgn = c, d, 1
-            else:
-                a, b, sgn = d, c, -1
-            ns = slots[: k - 1] + (d,) + slots[k:]
-            if j == 0:
-                if ctx.kind == "trivial":
-                    continue
-                for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
-                    add((nu, ns), sgn * coeff * c2)
-            else:
-                e = ns[j - 1]
-                if v.A[j - 1] == 1:
-                    if b == e:
-                        add((mu, ns[: j - 1] + (a,) + ns[j:]), sgn * coeff)
-                else:
-                    if a == e:
-                        add((mu, ns[: j - 1] + (b,) + ns[j:]), -sgn * coeff)
-    return ModuleVector(ctx, v.A, out)
+    up_k = v.A[k - 1] == 1
+    acc = {}
+    get = acc.get
+    if j == 0:
+        if ctx.kind == "trivial":
+            return _vector(ctx, v.A, {})
+        m, delta = ctx.m, ctx.delta
+        for (mu, slots), coeff in v.terms.items():
+            c = slots[k - 1]
+            head, tail = slots[: k - 1], slots[k:]
+            if not up_k:
+                coeff = -coeff
+            for d in range(1, N + 1):
+                # E_ba sends slot k from c to d (by _slot_E); E_ab acts on M
+                a, b = (c, d) if up_k else (d, c)
+                ns = head + (d,) + tail
+                for c2, nu in _module_action(m, delta, a, b, mu):
+                    key = (nu, ns)
+                    acc[key] = get(key, 0) + coeff * c2
+    else:
+        up_j = v.A[j - 1] == 1
+        for (mu, slots), coeff in v.terms.items():
+            for e2, c2, sgn in _slot_pair(N, up_j, up_k, slots[j - 1], slots[k - 1]):
+                ns = list(slots)
+                ns[j - 1], ns[k - 1] = e2, c2
+                key = (mu, tuple(ns))
+                acc[key] = get(key, 0) + sgn * coeff
+    return _vector(ctx, v.A, _clean(acc))
 
 
 def y_apply(v: ModuleVector, i: int) -> ModuleVector:
     """y_i = sum_{0 <= k < i} Omega_{ki} + N/2."""
     if not 1 <= i <= len(v.A):
         raise ValueError("dot index out of range")
-    out = v.scale(Fraction(v.ctx.N, 2))
+    N = v.ctx.N
+    out = v.scale(N // 2 if N % 2 == 0 else Fraction(N, 2))
     for k in range(i):
         out = out + omega_pair(v, k, i)
     return out
@@ -274,29 +313,26 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
     if not 1 <= i <= n - 1:
         raise ValueError("token index out of range")
     if kind == "c":
-        newA = swap_seq(A, i)
         terms = {}
         for (mu, slots), c in v.terms.items():
             ns = list(slots)
             ns[i - 1], ns[i] = ns[i], ns[i - 1]
             terms[(mu, tuple(ns))] = c
-        return ModuleVector(ctx, newA, terms)
+        return _vector(ctx, swap_seq(A, i), terms)
     if kind in ("e", "eh"):
         if A[i - 1] == A[i]:
             raise ValueError("generator does not exist for this object")
         newA = A if kind == "e" else swap_seq(A, i)
-        out = {}
+        acc = {}
+        get = acc.get
         for (mu, slots), c in v.terms.items():
             if slots[i - 1] != slots[i]:
                 continue
+            head, tail = slots[: i - 1], slots[i + 1 :]
             for d in range(1, ctx.N + 1):
-                key = (mu, slots[: i - 1] + (d, d) + slots[i + 1 :])
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ModuleVector(ctx, newA, out)
+                key = (mu, head + (d, d) + tail)
+                acc[key] = get(key, 0) + c
+        return _vector(ctx, newA, _clean(acc))
     raise ValueError(f"unknown token {tok!r}")
 
 
@@ -408,13 +444,13 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
     for v, v1, _ in data:
         keys = set(v.terms) | set(v1.terms)
         for key in keys:
-            a = v.terms.get(key, Fraction(0))
-            b = v1.terms.get(key, Fraction(0))
+            a = v.terms.get(key, 0)
+            b = v1.terms.get(key, 0)
             if a == 0:
                 if b != 0:
                     ok = False
                 continue
-            ratio = -b / a
+            ratio = Fraction(-b) / a
             if c0 is None:
                 c0 = ratio
             elif c0 != ratio:
@@ -431,16 +467,13 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
         for key in keys:
             rows.append(
                 [
-                    v.terms.get(key, Fraction(0)),
-                    v1.terms.get(key, Fraction(0)),
-                    -v2.terms.get(key, Fraction(0)),
+                    v.terms.get(key, 0),
+                    v1.terms.get(key, 0),
+                    -v2.terms.get(key, 0),
                 ]
             )
     sol = rref(rows)
-    if len(sol) != 2 or sol[0][:2] != [Fraction(1), Fraction(0)] or sol[1][:2] != [
-        Fraction(0),
-        Fraction(1),
-    ]:
+    if len(sol) != 2 or sol[0][:2] != [1, 0] or sol[1][:2] != [0, 1]:
         raise ArithmeticError("no monic quadratic annihilates the test span")
     c0, c1 = sol[0][2], sol[1][2]
     # verify: the system was overdetermined, residual must vanish

@@ -33,7 +33,39 @@ def test_dim_outside_basis_hypotheses_is_not_a_dimension(capsys):
     assert code == 0 and json.loads(out) == {"certified": False, "spanning": 8}
     with pytest.warns(UserWarning, match="basis hypotheses"):
         code, out, _ = run_main(capsys, "faithfulness", *args)
-    assert code == 0 and json.loads(out)["rank"] == 6
+    assert code == 0 and json.loads(out) == {"certified": False, "rank": 6, "spanning": 8}
+
+
+def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
+    args = ("--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0")
+    with pytest.warns(UserWarning, match="basis hypotheses") as record:
+        code, out, _ = run_main(capsys, "struct-consts", *args)
+    assert len(record) == 1  # the basis is enumerated once
+    got = json.loads(out)
+    assert code == 0 and "dim" not in got
+    assert (got["certified"], got["spanning"]) == (False, 8) and got["triples"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega", "--k", "100000000", "--m", "1", "--n", "1", "--delta", "0"),
+        ("omega", "--k", "-1", "--m", "1", "--n", "1", "--delta", "0"),
+        ("wseries", "--seq", "1,1,-1", "--i", "2", "--k", "65", "--m", "2", "--n", "2", "--delta", "0"),
+        ("dim", "--seq", ",".join(["1"] * 9), "--m", "9", "--n", "9", "--delta", "0"),
+    ],
+    ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length"],
+)
+def test_oversized_input_is_an_engine_error(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1 and out == "" and "error" in json.loads(err)
+
+
+def test_size_bounds_admit_the_largest_inputs(capsys):
+    code, out, _ = run_main(capsys, "dim", "--seq", "1,1,1,1,-1,-1,-1,-1", "--m", "8", "--n", "8", "--delta", "0")
+    assert code == 0 and out == '{"dim":10321920}\n'
+    code, out, _ = run_main(capsys, "omega", "--k", "10000", "--m", "1", "--n", "1", "--delta", "0")
+    assert code == 0 and out == '{"omega":"2"}\n'
 
 
 def test_no_assert_statements_in_package():

@@ -10,6 +10,7 @@ from wbcat.exact import (
     nullspace,
     poly_parse,
     row_echelon,
+    rref,
     series_div,
     series_mul,
     series_one,
@@ -197,6 +198,18 @@ def test_sparse_rank_property(rows, combos):
             a, b = rows[i % len(rows)], rows[j % len(rows)]
             rows.append({k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)})
     _check_sparse_rank(rows)
+
+
+def test_integer_rows_stay_exact():
+    # determinant -1; a float division (1 / 10**17) rounds it to rank 1
+    rows = [[10**17, 10**17 + 1], [10**17 + 1, 10**17 + 2]]
+    assert sparse_rank([dict(enumerate(r)) for r in rows]) == 2
+    dense = [list(r) for r in rows]
+    assert row_echelon(dense) == 2
+    reduced = rref(rows)
+    assert reduced == [[1, 0], [0, 1]]
+    for mat in (dense, reduced):
+        assert all(isinstance(x, (int, F)) for r in mat for x in r)
 
 
 def test_nullspace():

@@ -1,22 +1,28 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from wbcat.diagrams import DecoratedElement, Monomial, generator, token_diagram
 from wbcat.glrep import (
     GlContext,
     ModuleVector,
     apply_E,
+    apply_E_at,
     apply_generator,
     apply_token,
     apply_word,
     extract_omega,
     faithfulness_rank,
+    omega_pair,
     represent,
     spanning_vectors,
+    u_minus_generators,
     verify_section8,
     y1_minimal_poly,
     y_apply,
+    zero_vector,
 )
 from wbcat.relations import all_instances, resolve_coeff
 
@@ -95,6 +101,72 @@ def test_extract_omega_parabolic_2_2_0():
     assert extract_omega(ctx, 1) == 8
     assert extract_omega(ctx, 2) == 16
     assert extract_omega(ctx, 3) == 32
+
+
+def _exact_coeffs(v):
+    # an int whenever integral, a Fraction only when not; never a float
+    return all(
+        type(c) is int or (type(c) is F and c.denominator != 1) for c in v.terms.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GlContext.trivial(2),
+        GlContext.trivial(3),
+        GlContext.parabolic(1, 2, 1),
+        GlContext.parabolic(2, 2, 0),
+    ],
+    ids=lambda c: f"{c.kind}{c.N}",
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_omega_pair_is_the_split_casimir(ctx, data):
+    # Omega_{jk} = sum_{a,b} E_ab at factor j after E_ba at factor k, from
+    # the elementary action alone (not from the diagram identities)
+    A = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=2, max_size=3)))
+    slots = data.draw(st.tuples(*[st.integers(1, ctx.N)] * len(A)))
+    mu = ()
+    if ctx.kind == "parabolic":
+        gens = st.sampled_from(u_minus_generators(ctx))
+        mu = tuple(sorted(data.draw(st.lists(gens, max_size=2))))
+    v = ModuleVector.basis_vector(ctx, A, slots, mu)
+    for k in range(1, len(A) + 1):
+        for j in range(k):
+            expected = zero_vector(ctx, A)
+            for a in range(1, ctx.N + 1):
+                for b in range(1, ctx.N + 1):
+                    w = apply_E_at(ctx, a, b, apply_E_at(ctx, b, a, v, k), j)
+                    expected = expected + w
+            got = omega_pair(v, j, k)
+            assert got == expected and omega_pair(v, k, j) == expected
+            assert _exact_coeffs(got)
+        assert _exact_coeffs(y_apply(v, k))
+
+
+def test_boundary_values_are_fractions():
+    values = [
+        (extract_omega(GlContext.trivial(3), 2), F(27, 4)),
+        (extract_omega(GlContext.parabolic(2, 1, 1), 3), F(5, 8)),
+        (extract_omega(GlContext.parabolic(2, 2, 0), 3), F(32)),
+    ]
+    ctx = GlContext.trivial(3)
+    v = ModuleVector.basis_vector(ctx, (1,), (2,))
+    values += [
+        (y_apply(v, 1).coeff((), (2,)), F(3, 2)),
+        (v.coeff((), (2,)), F(1)),
+        (v.coeff((), (1,)), F(0)),
+    ]
+    for poly, want in [
+        (y1_minimal_poly(GlContext.parabolic(2, 1, 1), -1), (F(9, 4), F(-3), F(1))),
+        (y1_minimal_poly(GlContext.parabolic(2, 1, 1), 1), (F(-1, 4), F(0), F(1))),
+        (y1_minimal_poly(GlContext.parabolic(2, 2, 0), -1), (F(0), F(-2), F(1))),
+    ]:
+        assert len(poly) == len(want)
+        values += list(zip(poly, want))
+    for got, want in values:
+        assert type(got) is F and got == want
 
 
 def test_y1_minimal_poly_split():
