@@ -40,6 +40,13 @@ generator word of the diagram (or the word moving a far arc's endpoint next
 to its partner), one crossing at a time. The main term travels with
 coefficient +1 and every correction consumes the dot, so all recursion is
 on strictly fewer dots and terminates without a depth bound.
+
+The engine recomputes the same small pieces many times over, so the pure
+ones are memoized with functools.lru_cache, unbounded: tok_mono (a token on
+a monomial), diagrams.compose_diagrams and diagrams.token_diagram, next to
+the W-series, prefix and arc-transport tables. wbcat.clear_caches() empties
+every such cache in the package, e.g. between long computations on
+different objects.
 """
 
 from __future__ import annotations
@@ -514,7 +521,14 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     return t1 - t2
 
 
+@lru_cache(maxsize=None)
 def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
+    """Regular form of the token `tok` applied on top of the monomial m.
+
+    Memoized, so one returned element is shared by every caller that asks
+    for the same product. No caller mutates an element's `terms`, `bottom`
+    or `top`: `scale`, `+` and `-` build new elements, and everything else
+    only reads them. Keep it that way."""
     kind, i = tok
     if kind == "y":
         return push_dot(i, m, omega)

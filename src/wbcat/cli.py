@@ -193,7 +193,16 @@ def cmd_wseries(args):
 
 def cmd_omega(args):
     _check_k(args.k, MAX_OMEGA_K)
-    return _emit({"omega": str(_params_from(args).omega(args.k))})
+    value = _params_from(args).omega(args.k)
+    # omega_k may have more digits than Python's int-to-str limit allows
+    # (4300 by default); lift the limit for this one conversion only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return _emit({"omega": text})
 
 
 def cmd_center_test(args):

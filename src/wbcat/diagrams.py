@@ -32,6 +32,10 @@ from .exact import rat
 
 
 def orseq(entries) -> tuple:
+    """`entries` as a tuple of int +1/-1. A tuple that already is one comes
+    back unchanged, so objects passed along are shared, not copied."""
+    if type(entries) is tuple and all(type(a) is int and a * a == 1 for a in entries):
+        return entries
     A = tuple(int(a) for a in entries)
     if not all(a in (1, -1) for a in A):
         raise ValueError(f"orientation entries must be +1/-1: {A}")
@@ -165,9 +169,14 @@ def token_diagram(tok, A) -> WBDiagram:
 
     Tokens: ('c', i) crossing (variant determined by the orientations),
     ('e', i) cap-cup keeping orientations, ('eh', i) cap-cup exchanging them.
+    Memoized: equal calls return one shared diagram.
     """
+    return _token_diagram(tuple(tok), orseq(A))
+
+
+@lru_cache(maxsize=None)
+def _token_diagram(tok, A) -> WBDiagram:
     kind, i = tok
-    A = orseq(A)
     n = len(A)
     if not 1 <= i <= n - 1:
         raise ValueError(f"token index {i} out of range for n={n}")
@@ -184,8 +193,10 @@ def token_diagram(tok, A) -> WBDiagram:
     raise ValueError(f"unknown token kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
 def compose_diagrams(upper: WBDiagram, lower: WBDiagram):
-    """Stack `upper` on top of `lower`; return (loop_count, composite)."""
+    """Stack `upper` on top of `lower`; return (loop_count, composite).
+    Memoized: equal calls return one shared diagram."""
     if lower.top != upper.bottom:
         raise ValueError("boundary mismatch in composition")
     n = lower.n

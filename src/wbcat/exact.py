@@ -158,16 +158,6 @@ class MultiPoly:
             total += v
         return total
 
-    def permute_vars(self, perm) -> "MultiPoly":
-        """perm[i] = new (0-based) slot of old variable i."""
-        out = {}
-        for exp, c in self.coeffs.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[perm[i]] = e
-            out[tuple(new)] = c
-        return MultiPoly(self.nvars, out)
-
     def extend(self, nvars: int) -> "MultiPoly":
         """Reinterpret in a larger variable ring (new trailing variables)."""
         if nvars < self.nvars:
@@ -328,9 +318,6 @@ class LaurentSeries:
         if order >= self.order:
             return self
         return LaurentSeries(self.nvars, self.coeffs[: order + 1])
-
-    def is_rational(self) -> bool:
-        return all(c.is_constant() for c in self.coeffs)
 
     def __str__(self) -> str:
         return " + ".join(f"({c})u^-{k}" for k, c in enumerate(self.coeffs))

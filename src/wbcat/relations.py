@@ -24,28 +24,6 @@ from .diagrams import orseq, swap_seq
 OMEGA_KMAX = 3  # dot powers enumerated inside contraction instances
 
 
-def word_top(word, A):
-    """Top object after applying `word` to A, or None if some token is illegal."""
-    obj = orseq(A)
-    n = len(obj)
-    for kind, i in word:
-        if kind == "y":
-            if not 1 <= i <= n:
-                return None
-        elif kind == "c":
-            if not 1 <= i <= n - 1:
-                return None
-            obj = swap_seq(obj, i)
-        elif kind in ("e", "eh"):
-            if not 1 <= i <= n - 1 or obj[i - 1] == obj[i]:
-                return None
-            if kind == "eh":
-                obj = swap_seq(obj, i)
-        else:
-            return None
-    return obj
-
-
 def _expand(template, A):
     """Concrete legal words for a template whose ('E', i) slots mean e or eh.
 

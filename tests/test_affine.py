@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import wbcat
 from wbcat import affine
 from wbcat.affine import (
     OmegaRangeError,
@@ -16,7 +17,7 @@ from wbcat.affine import (
     reduce,
     w_coeff,
 )
-from wbcat.cyclotomic import make_params, w1_closed_form
+from wbcat.cyclotomic import cyclo_reduce, make_params, w1_closed_form
 from wbcat.diagrams import (
     DecoratedElement,
     Monomial,
@@ -27,9 +28,16 @@ from wbcat.diagrams import (
     is_regular,
     orseq,
     rt_counts,
+    token_diagram,
 )
 from wbcat.exact import LaurentSeries, MultiPoly, series_mul, series_star
-from wbcat.glrep import GlContext, apply_word as rep_word, represent, spanning_vectors
+from wbcat.glrep import (
+    GlContext,
+    ModuleVector,
+    apply_word as rep_word,
+    represent,
+    spanning_vectors,
+)
 from wbcat.relations import relation_ids, instances
 
 OM = OmegaSpec.from_list(
@@ -311,6 +319,7 @@ def test_products_match_representation(monkeypatch):
         far.add((side, len(out[0])))
         return out
 
+    wbcat.clear_caches()  # memoized products would skip the transport
     monkeypatch.setattr(affine, "_arc_transport", arc_transport)
     # 2- and 3-strand objects, then 4-strand objects with (r, t) = (2, 2),
     # whose far arcs need transport words of length >= 2
@@ -327,6 +336,38 @@ def test_products_match_representation(monkeypatch):
         for v in spanning_vectors(ctx, A, max_deg=0):
             assert represent(prod, v) == represent(x, represent(y, v))
     assert {("t", 2), ("b", 2)} <= far
+
+
+@pytest.mark.parametrize(
+    "A, mnd, pairs",
+    [((1, -1, 1), (3, 3, 0), 20), ((1, 1, -1, -1), (4, 4, 0), 4)],
+    ids=["End(1,-1,1)", "End(1,1,-1,-1)"],
+)
+def test_memoized_products_match_cold_ones(A, mnd, pairs):
+    # level-two products of basis elements, each once right after clearing
+    # every cache, then again with the caches warmed by all the others:
+    # both agree with the gl_N oracle
+    rng = random.Random(len(A))
+    p = make_params(*mnd)
+    ctx = GlContext.parabolic(*mnd)
+    factors = [
+        tuple(DecoratedElement.from_monomial(random_monomial(rng, A, A, 1)) for _ in "xy")
+        for _ in range(pairs)
+    ]
+    cold = []
+    for x, y in factors:
+        wbcat.clear_caches()
+        cold.append(cyclo_reduce(multiply(x, y, p.omega), p))
+    for (x, y), prod in zip(factors, cold):
+        assert cyclo_reduce(multiply(x, y, p.omega), p) == prod
+        for _ in range(2):
+            slots = tuple(rng.randrange(1, ctx.N + 1) for _ in A)
+            v = ModuleVector.basis_vector(ctx, A, slots)
+            assert represent(prod, v) == represent(x, represent(y, v))
+
+
+def test_token_diagram_accepts_a_list():
+    assert token_diagram(("e", 1), [1, -1]) is token_diagram(("e", 1), (1, -1))
 
 
 def test_associativity_sampled():

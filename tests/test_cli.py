@@ -1,14 +1,17 @@
 import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wbcat
 from wbcat import cli
-from wbcat.affine import multiply
+from wbcat.affine import OmegaSpec, multiply
 from wbcat.cli import main
 from wbcat.cyclotomic import make_params
 from wbcat.diagrams import element_to_json, generator
@@ -66,6 +69,33 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
     assert code == 0 and out == '{"dim":10321920}\n'
     code, out, _ = run_main(capsys, "omega", "--k", "10000", "--m", "1", "--n", "1", "--delta", "0")
     assert code == 0 and out == '{"omega":"2"}\n'
+
+
+def test_omega_prints_values_past_the_int_digit_limit(capsys):
+    # omega_10000 at (3, 2, 1) has more digits than str(int) allows by default
+    code, out, err = run_main(capsys, "omega", "--k", "10000", "--m", "3", "--n", "2", "--delta", "1")
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        got = Fraction(json.loads(out)["omega"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == OmegaSpec.from_mn_delta(3, 2, 1)(10000)
+
+
+def test_clear_caches_empties_every_cache():
+    # a memo cache added to any module must be reachable by clear_caches
+    mods = [importlib.import_module(f"wbcat.{m.name}") for m in pkgutil.iter_modules(wbcat.__path__)]
+    multiply(generator("e", (1, -1), 1), generator("y", (1, -1), 1), OmegaSpec.from_mn_delta(2, 2, 0))
+    wbcat.clear_caches()
+    caches = [
+        (mod.__name__, name, obj.cache_info().currsize)
+        for mod in mods
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info")
+    ]
+    assert caches and all(size == 0 for _, _, size in caches), caches
 
 
 def test_no_assert_statements_in_package():

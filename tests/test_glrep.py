@@ -145,6 +145,33 @@ def test_omega_pair_is_the_split_casimir(ctx, data):
         assert _exact_coeffs(y_apply(v, k))
 
 
+@pytest.mark.parametrize(
+    "ctx, A, max_deg, checks",
+    [
+        (GlContext.parabolic(2, 2, 0), (1, -1), 1, 6400),
+        (GlContext.parabolic(2, 1, 1), (1, -1, 1), 1, 6561),
+        (GlContext.trivial(3), (1, -1, 1), 0, 2187),
+    ],
+    ids=["parabolic220", "parabolic211", "trivial3"],
+)
+def test_action_commutes_with_gl_N(ctx, A, max_deg, checks):
+    # mixed Schur-Weyl duality: every token and every dot is a gl_N-module map
+    n = len(A)
+    ops = [lambda v, i=i: y_apply(v, i) for i in range(1, n + 1)]
+    for i in range(1, n):
+        kinds = ("c",) if A[i - 1] == A[i] else ("c", "e", "eh")
+        ops += [lambda v, tok=(kind, i): apply_token(tok, v) for kind in kinds]
+    checked = 0
+    for v in spanning_vectors(ctx, A, max_deg):
+        for op in ops:
+            image = op(v)
+            for a in range(1, ctx.N + 1):
+                for b in range(1, ctx.N + 1):
+                    assert op(apply_E(ctx, a, b, v)) == apply_E(ctx, a, b, image)
+                    checked += 1
+    assert checked == checks
+
+
 def test_boundary_values_are_fractions():
     values = [
         (extract_omega(GlContext.trivial(3), 2), F(27, 4)),
