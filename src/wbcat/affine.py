@@ -1,9 +1,10 @@
 """Rewriting engine: products and regular normal forms, exactly.
 
-Every element is a Fraction-linear combination of regular monomials
+Every element is a rational linear combination of regular monomials
 (diagram + bottom dots gamma + top dots eta, with dots homed at bottom
-through/arc-right and top arc-left positions only). All computation is
-driven by one primitive: apply a single generator token on top of a
+through/arc-right and top arc-left positions only), with an int
+coefficient when it is integral and a Fraction otherwise. All computation
+is driven by one primitive: apply a single generator token on top of a
 regular monomial. The closed forms used are
 
   crossing over stored dots (a dots at x, b at x+1):
@@ -41,6 +42,9 @@ to its partner), one crossing at a time. The main term travels with
 coefficient +1 and every correction consumes the dot, so all recursion is
 on strictly fewer dots and terminates without a depth bound.
 
+Every sum of scaled elements is one call of DecoratedElement.lincomb, which
+accumulates all parts into one fresh dict and never modifies a part.
+
 The engine recomputes the same small pieces many times over, so the pure
 ones are memoized with functools.lru_cache, unbounded: tok_mono (a token on
 a monomial), diagrams.compose_diagrams and diagrams.token_diagram, next to
@@ -61,6 +65,7 @@ from .diagrams import (
     WBDiagram,
     compose_diagrams,
     identity_diagram,
+    json_field,
     orseq,
     sort_word,
     token_diagram,
@@ -143,13 +148,15 @@ class OmegaSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OmegaSpec":
-        kind = obj["kind"]
+        kind = json_field(obj, "kind", str, "a string")
         if kind == "list":
-            return cls.from_list(obj["values"])
+            what = "a list of integers or rational strings"
+            return cls.from_list(json_field(obj, "values", list, what, (int, str)))
         if kind == "mn_delta":
-            return cls.from_mn_delta(obj["m"], obj["n"], obj["delta"])
+            m, n, delta = (json_field(obj, k, int, "an integer") for k in ("m", "n", "delta"))
+            return cls.from_mn_delta(m, n, delta)
         if kind == "trivial":
-            return cls.trivial(obj["N"])
+            return cls.trivial(json_field(obj, "N", int, "an integer"))
         raise ValueError(f"unknown omega kind {kind!r}")
 
 
@@ -279,7 +286,7 @@ def _transport(p: int, m: Monomial, omega: OmegaSpec, word, pres, cap=None):
     Returns (final position of the dot, corrections): the corrections are
     the normalized terms in which a crossing consumed the dot."""
     D = m.diagram
-    out = DecoratedElement.zero(D.bottom, D.top)
+    parts = []
     pos = p
     steps = range(len(word), 0, -1) if cap is None else range(1, len(word) + 1)
     for l in steps:
@@ -295,10 +302,9 @@ def _transport(p: int, m: Monomial, omega: OmegaSpec, word, pres, cap=None):
         if cap is not None:
             more, C = compose_diagrams(cap, C)
             loops += more
-        out = out + normalize_mono(Monomial(C, m.gamma, m.eta), omega).scale(
-            sign * omega(0) ** loops
-        )
-    return pos, out
+        corr = normalize_mono(Monomial(C, m.gamma, m.eta), omega)
+        parts.append((sign * omega(0) ** loops, corr))
+    return pos, DecoratedElement.lincomb(D.bottom, D.top, parts)
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +362,7 @@ def push_dot(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         return DecoratedElement.from_monomial(Monomial(D, m.gamma, _add_at(m.eta, p)))
     if kind == "through":
         pos, corr = _transport(p, m, omega, *_prefixes(D))
-        return corr + DecoratedElement.from_monomial(
-            Monomial(D, _add_at(m.gamma, pos), m.eta)
-        )
+        return corr + DecoratedElement.from_monomial(Monomial(D, _add_at(m.gamma, pos), m.eta))
     x = D.partner("t", p)[1]
     main = Monomial(D, m.gamma, _add_at(m.eta, x))
     if x == p - 1:
@@ -416,13 +420,11 @@ def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 
 def _map_terms(el: DecoratedElement, fn) -> DecoratedElement:
-    out = None
-    for m, c in el.terms.items():
-        part = fn(m).scale(c)
-        out = part if out is None else out + part
-    if out is None:
+    parts = [(c, fn(m)) for m, c in el.terms.items()]
+    if not parts:
         return el
-    return out
+    first = parts[0][1]
+    return DecoratedElement.lincomb(first.bottom, first.top, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +440,19 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     loops, S = compose_diagrams(token_diagram(("c", x), B), D)
     if loops:
         raise AssertionError("a crossing closed a loop")
-    out = DecoratedElement.zero(D.bottom, S.top)
-    if s_variant:
-        main_eta = _add_at(_add_at(eta_rest, x, b), x + 1, a)
-        out = out + DecoratedElement.from_monomial(Monomial(S, m.gamma, main_eta))
-        for k, l, sgn in _divided_difference(a, b):
-            corr = Monomial(D, m.gamma, _add_at(_add_at(eta_rest, x, k), x + 1, l))
-            out = out + normalize_mono(corr, omega).scale(-sgn)
-        return out
-    own_arc = D.partner("t", x) == ("t", x + 1)
-    if own_arc:
+    if D.partner("t", x) == ("t", x + 1):  # own arc, so not s_variant
         if b:
             raise AssertionError("dot stored at the right end of a top arc")
         main = Monomial(S, m.gamma, _add_at(eta_rest, x, a))
-        out = out + DecoratedElement.from_monomial(main, Fraction(-1) ** a)
+        parts = [((-1) ** a, DecoratedElement.from_monomial(main))]
     else:
-        main_eta = _add_at(_add_at(eta_rest, x, b), x + 1, a)
-        out = out + DecoratedElement.from_monomial(Monomial(S, m.gamma, main_eta))
+        main = Monomial(S, m.gamma, _add_at(_add_at(eta_rest, x, b), x + 1, a))
+        parts = [(1, DecoratedElement.from_monomial(main))]
+    if s_variant:
+        for k, l, sgn in _divided_difference(a, b):
+            corr = Monomial(D, m.gamma, _add_at(_add_at(eta_rest, x, k), x + 1, l))
+            parts.append((-sgn, normalize_mono(corr, omega)))
+        return DecoratedElement.lincomb(D.bottom, S.top, parts)
     base = Monomial(D, m.gamma, eta_rest)
     for l in range(1, a + b + 1):
         el = DecoratedElement.from_monomial(base)
@@ -463,8 +461,8 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         el = _map_terms(el, lambda mm: _edot("eh", x, mm, omega))
         for _ in range(a + b - l):
             el = _map_terms(el, lambda mm: push_dot(x, mm, omega))
-        out = out + el.scale(Fraction(-1) ** (a + l))
-    return out
+        parts.append(((-1) ** (a + l), el))
+    return DecoratedElement.lincomb(D.bottom, S.top, parts)
 
 
 def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
@@ -481,15 +479,14 @@ def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         if loops != 1:
             raise AssertionError("contraction did not close exactly one loop")
         base = Monomial(C, m.gamma, _zero_at(m.eta, x))
-        poly = _w_poly(B, x, k, omega)
-        out = DecoratedElement.zero(D.bottom, C.top)
-        for exp, c in poly.coeffs.items():
-            el = DecoratedElement.from_monomial(base, c)
+        parts = []
+        for exp, c in _w_poly(B, x, k, omega).coeffs.items():
+            el = DecoratedElement.from_monomial(base)
             for j in range(len(exp), 0, -1):
                 for _ in range(exp[j - 1]):
                     el = _map_terms(el, lambda mm: push_dot(j, mm, omega))
-            out = out + el
-        return out
+            parts.append((c, el))
+        return DecoratedElement.lincomb(D.bottom, C.top, parts)
     if m.eta[x - 1] > 0:
         return _edot_preclear(kind, x, x, m, omega)
     if m.eta[x] > 0:
@@ -511,7 +508,7 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     m1 = Monomial(D, m.gamma, _add_at(m.eta, at, -1))
     if P == at + 1:
         # adjacent arc {at, P}: y_P . m1 = -m with no corrections
-        corr = DecoratedElement.zero(D.bottom, D.top)
+        corr = DecoratedElement(D.bottom, D.top)
     else:
         _, corr = _transport(P, m1, omega, *_arc_transport(D, "t", P))
     t1 = apply_element_token((kind, x), corr, omega)
@@ -527,8 +524,8 @@ def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
     Memoized, so one returned element is shared by every caller that asks
     for the same product. No caller mutates an element's `terms`, `bottom`
-    or `top`: `scale`, `+` and `-` build new elements, and everything else
-    only reads them. Keep it that way."""
+    or `top`: `lincomb` (behind `scale`, `+`, `-`) builds new elements,
+    cyclo_reduce edits a copy, and all else only reads. Keep it that way."""
     kind, i = tok
     if kind == "y":
         return push_dot(i, m, omega)
@@ -540,15 +537,9 @@ def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 
 def apply_element_token(tok, el: DecoratedElement, omega: OmegaSpec):
-    out = None
-    for m, c in el.terms.items():
-        part = tok_mono(tok, m, omega).scale(c)
-        out = part if out is None else out + part
-    if out is not None:
-        return out
-    # zero element: only the boundary changes
-    newtop = el.top if tok[0] == "y" else token_diagram(tok, el.top).top
-    return DecoratedElement.zero(el.bottom, newtop)
+    top = el.top if tok[0] == "y" else token_diagram(tok, el.top).top
+    parts = [(c, tok_mono(tok, m, omega)) for m, c in el.terms.items()]
+    return DecoratedElement.lincomb(el.bottom, top, parts)
 
 
 def apply_word(word, el: DecoratedElement, omega: OmegaSpec) -> DecoratedElement:
@@ -565,18 +556,14 @@ def multiply(x: DecoratedElement, y: DecoratedElement, omega: OmegaSpec):
     """x . y (y applied first; its top must match x's bottom)."""
     if x.bottom != y.top:
         raise ValueError("boundary mismatch in product")
-    out = DecoratedElement.zero(y.bottom, x.top)
-    for m, c in x.terms.items():
-        out = out + apply_word(word_for_monomial(m), y, omega).scale(c)
-    return out
+    parts = [(c, apply_word(word_for_monomial(m), y, omega)) for m, c in x.terms.items()]
+    return DecoratedElement.lincomb(y.bottom, x.top, parts)
 
 
 def reduce(el: DecoratedElement, omega: OmegaSpec) -> DecoratedElement:
     """Regular normal form of an arbitrary decorated element."""
-    out = DecoratedElement.zero(el.bottom, el.top)
-    for m, c in el.terms.items():
-        out = out + normalize_mono(m, omega).scale(c)
-    return out
+    parts = [(c, normalize_mono(m, omega)) for m, c in el.terms.items()]
+    return DecoratedElement.lincomb(el.bottom, el.top, parts)
 
 
 def element_for_word(word, A, omega: OmegaSpec) -> DecoratedElement:
@@ -592,10 +579,8 @@ def check_relation(A, relation_id: str, omega: OmegaSpec) -> bool:
     unit = DecoratedElement.unit(A)
     for lhs, rhs in insts:
         left = apply_word(lhs, unit, omega)
-        right = None
-        for coeff, word in rhs:
-            part = apply_word(word, unit, omega).scale(resolve_coeff(coeff, omega))
-            right = part if right is None else right + part
-        if left != right:
+        parts = [(resolve_coeff(c, omega), apply_word(word, unit, omega)) for c, word in rhs]
+        first = parts[0][1]
+        if left != DecoratedElement.lincomb(first.bottom, first.top, parts):
             return False
     return True

@@ -109,9 +109,9 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
     """Element of End(C) equal to y_j^2 in the quotient, of dot degree <= 1."""
     om = p.omega
     beta, betap = p.roots(C[j - 1])
+    s, pr, unit = beta + betap, beta * betap, DecoratedElement.unit
     if j == 1:
-        y1 = generator("y", C, 1)
-        return y1.scale(beta + betap) - DecoratedElement.unit(C).scale(beta * betap)
+        return DecoratedElement.lincomb(C, C, [(s, generator("y", C, 1)), (-pr, unit(C))])
     Ap = (C[j - 1],) + C[: j - 1] + C[j:]
     word = [("c", i) for i in range(1, j)]  # routes bottom 1 to top j
     T = element_for_word(word, Ap, om)
@@ -119,11 +119,7 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
         raise AssertionError("crossing word does not end on the object")
     Tbar = element_for_word(list(reversed(word)), C, om)
     y1 = generator("y", Ap, 1)
-    Q = (
-        multiply(y1, y1, om)
-        - y1.scale(beta + betap)
-        + DecoratedElement.unit(Ap).scale(beta * betap)
-    )
+    Q = DecoratedElement.lincomb(Ap, Ap, [(1, multiply(y1, y1, om)), (-s, y1), (pr, unit(Ap))])
     yj = generator("y", C, j)
     repl = multiply(yj, yj, om) - multiply(T, multiply(Q, Tbar, om), om)
     if repl.degree() > 1:
@@ -144,29 +140,28 @@ def cyclo_reduce(x: DecoratedElement, p: CycloParams) -> DecoratedElement:
     """Normal form with binary dots: affine-reduce, then eliminate dot
     stacks through the transported quadratic relation until fixpoint."""
     el = affine_reduce(x, p.omega)
+    # one mutable copy: affine_reduce may hand back a shared element
+    terms = dict(el.terms)
     while True:
-        target = None
-        for m, c in el.terms.items():
-            spot = _find_stack(m)
-            if spot is not None:
-                target = (m, c, spot)
-                break
+        target = next(((m, c, s) for m, c in terms.items() if (s := _find_stack(m))), None)
         if target is None:
-            return el
+            return DecoratedElement(el.bottom, el.top, terms)
         m, c, (side, j) = target
-        el = el.add_term(m, -c)
+        del terms[m]
         if side == "b":
             m1 = Monomial(m.diagram, _drop2(m.gamma, j), m.eta)
             repl = _quadratic_replacement(m.bottom, j, p)
-            el = el + multiply(
-                DecoratedElement.from_monomial(m1), repl, p.omega
-            ).scale(c)
+            prod = multiply(DecoratedElement.from_monomial(m1), repl, p.omega)
         else:
             m1 = Monomial(m.diagram, m.gamma, _drop2(m.eta, j))
             repl = _quadratic_replacement(m.top, j, p)
-            el = el + multiply(
-                repl, DecoratedElement.from_monomial(m1), p.omega
-            ).scale(c)
+            prod = multiply(repl, DecoratedElement.from_monomial(m1), p.omega)
+        for mm, v in prod.terms.items():
+            s = terms.get(mm, 0) + c * v
+            if s:
+                terms[mm] = s
+            else:
+                del terms[mm]
 
 
 def _drop2(vec, j):
@@ -217,11 +212,9 @@ def poly_element(x: MultiPoly, A) -> DecoratedElement:
     if x.nvars > len(A):
         raise ValueError("polynomial has more variables than strands")
     D = identity_diagram(A)
-    out = DecoratedElement.zero(A, A)
-    for exp, c in x.coeffs.items():
-        gamma = tuple(exp) + (0,) * (len(A) - len(exp))
-        out = out.add_term(Monomial(D, gamma, None), c)
-    return out
+    pad = (0,) * (len(A) - x.nvars)
+    parts = [(c, DecoratedElement.from_monomial(Monomial(D, e + pad))) for e, c in x.coeffs.items()]
+    return DecoratedElement.lincomb(A, A, parts)
 
 
 def q_cancellation(x: MultiPoly, i: int, j: int) -> bool:

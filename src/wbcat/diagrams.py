@@ -12,6 +12,8 @@ eta on the top boundary, meaning y^eta . D . y^gamma. It is *regular* when
 gamma_i = 0 at every left endpoint of a bottom arc and eta_i = 0 except at
 left endpoints of top arcs. Regular monomials are the canonical spanning
 set; with binary dots there are 2^n n! of them between any two objects.
+A DecoratedElement is an exact linear combination of monomials; every sum of
+scaled elements is one call of its kernel DecoratedElement.lincomb.
 
 word_for_diagram factors any diagram into generator tokens (crossings and
 cap-cup generators): route bottom arcs to adjacent slots, cap them, re-route
@@ -21,11 +23,10 @@ is self-checked by refolding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exact import rat
+from .exact import num, rat
 
 # ---------------------------------------------------------------------------
 # Orientation sequences.
@@ -82,8 +83,8 @@ class WBDiagram:
                 raise ValueError("not a perfect matching")
             partner[p] = q
             partner[q] = p
-        if len(partner) != 2 * n:
-            raise ValueError("matching must cover every boundary point")
+        if len(partner) != 2 * n or not all(1 <= i <= n for _, i in partner):
+            raise ValueError(f"arcs must pair up the points b1..b{n}, t1..t{n}: {canon}")
         for (s1, i1), (s2, i2) in canon:
             o1 = bottom[i1 - 1] if s1 == "b" else top[i1 - 1]
             o2 = bottom[i2 - 1] if s2 == "b" else top[i2 - 1]
@@ -355,7 +356,10 @@ def identity_monomial(A) -> Monomial:
 
 
 class DecoratedElement:
-    """Finite Q-linear combination of monomials sharing bottom/top objects."""
+    """Finite Q-linear combination of monomials sharing bottom/top objects.
+
+    Coefficients are exact: an int when integral, a Fraction otherwise.
+    Every sum of scaled elements goes through lincomb."""
 
     __slots__ = ("bottom", "top", "terms")
 
@@ -365,7 +369,7 @@ class DecoratedElement:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = rat(c)
+                c = num(c)
                 if not c:
                     continue
                 if m.bottom != self.bottom or m.top != self.top:
@@ -374,16 +378,38 @@ class DecoratedElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, bottom, top) -> "DecoratedElement":
-        return cls(bottom, top)
-
-    @classmethod
     def from_monomial(cls, m: Monomial, coeff=1) -> "DecoratedElement":
-        return cls(m.bottom, m.top, {m: rat(coeff)})
+        c = num(coeff)
+        el = cls.__new__(cls)
+        el.bottom, el.top, el.terms = m.bottom, m.top, {m: c} if c else {}
+        return el
 
     @classmethod
     def unit(cls, A) -> "DecoratedElement":
         return cls.from_monomial(identity_monomial(A))
+
+    @classmethod
+    def lincomb(cls, bottom, top, parts) -> "DecoratedElement":
+        """sum c * x over the (c, x) in parts, every x going bottom -> top
+        (orientation tuples). The terms accumulate in one fresh dict; no
+        part is modified, so parts may be shared (memoized) elements."""
+        acc = {}
+        get = acc.get
+        for c, x in parts:
+            if x.bottom != bottom or x.top != top:
+                raise ValueError("boundary mismatch")
+            if c.__class__ is not int:
+                c = num(c)
+            if c == 1:
+                for m, v in x.terms.items():
+                    acc[m] = get(m, 0) + v
+            elif c:
+                for m, v in x.terms.items():
+                    acc[m] = get(m, 0) + c * v
+        el = cls.__new__(cls)
+        el.bottom, el.top = bottom, top
+        el.terms = {m: v if v.__class__ is int else num(v) for m, v in acc.items() if v}
+        return el
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -393,28 +419,13 @@ class DecoratedElement:
         return max((m.dots() for m in self.terms), default=-1)
 
     def __add__(self, other) -> "DecoratedElement":
-        if (self.bottom, self.top) != (other.bottom, other.top):
-            raise ValueError("boundary mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        el = DecoratedElement.__new__(DecoratedElement)
-        el.bottom, el.top, el.terms = self.bottom, self.top, out
-        return el
+        return DecoratedElement.lincomb(self.bottom, self.top, ((1, self), (1, other)))
 
     def __sub__(self, other) -> "DecoratedElement":
-        return self + other.scale(-1)
+        return DecoratedElement.lincomb(self.bottom, self.top, ((1, self), (-1, other)))
 
     def scale(self, c) -> "DecoratedElement":
-        c = rat(c)
-        el = DecoratedElement.__new__(DecoratedElement)
-        el.bottom, el.top = self.bottom, self.top
-        el.terms = {m: c * v for m, v in self.terms.items()} if c else {}
-        return el
+        return DecoratedElement.lincomb(self.bottom, self.top, ((c, self),))
 
     def add_term(self, m: Monomial, c) -> "DecoratedElement":
         return self + DecoratedElement.from_monomial(m, c)
@@ -588,11 +599,29 @@ def _point_name(pt) -> str:
     return f"{pt[0]}{pt[1]}"
 
 
-def _point_parse(name: str):
-    side = name[0]
-    if side not in ("b", "t") or not name[1:].isdigit():
+def _point_parse(name):
+    if not isinstance(name, str) or name[:1] not in ("b", "t") or not name[1:].isdigit():
         raise ValueError(f"bad point name {name!r}")
-    return (side, int(name[1:]))
+    return (name[0], int(name[1:]))
+
+
+def _is(val, kind) -> bool:
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
+def json_field(obj, name: str, kind, what: str, item=None, default=None):
+    """obj[name], checked to be a `kind` (a list of `item`s when item is
+    given; a bool never passes for an int). A missing field gives default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {name!r}, got {obj!r}")
+    val = obj.get(name, default)
+    if not _is(val, kind) or (item is not None and not all(_is(v, item) for v in val)):
+        raise ValueError(f"field {name!r} must be {what}, got {val!r}")
+    return val
+
+
+def _ints(obj, name: str, default=None) -> list:
+    return json_field(obj, name, list, "a list of integers", int, default)
 
 
 def diagram_to_json(D: WBDiagram) -> dict:
@@ -604,8 +633,9 @@ def diagram_to_json(D: WBDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> WBDiagram:
-    pairs = [(_point_parse(p), _point_parse(q)) for p, q in obj["arcs"]]
-    return WBDiagram(obj["bottom"], obj["top"], pairs)
+    arcs = json_field(obj, "arcs", list, "a list of point-name pairs", list)
+    pairs = [(_point_parse(p), _point_parse(q)) for p, q in arcs]
+    return WBDiagram(_ints(obj, "bottom"), _ints(obj, "top"), pairs)
 
 
 def monomial_to_json(m: Monomial) -> dict:
@@ -617,7 +647,7 @@ def monomial_to_json(m: Monomial) -> dict:
 
 def monomial_from_json(obj: dict) -> Monomial:
     D = diagram_from_json(obj)
-    return Monomial(D, obj.get("gamma"), obj.get("eta"))
+    return Monomial(D, _ints(obj, "gamma", [0] * D.n), _ints(obj, "eta", [0] * D.n))
 
 
 def element_to_json(el: DecoratedElement) -> dict:
@@ -632,8 +662,11 @@ def element_to_json(el: DecoratedElement) -> dict:
 
 
 def element_from_json(obj: dict) -> DecoratedElement:
+    """The element of a JSON object; exact coefficients only (an integer or
+    a rational string such as "3/2"), never a float."""
     terms = {}
-    for t in obj["terms"]:
-        m = monomial_from_json(t["monomial"])
-        terms[m] = terms.get(m, Fraction(0)) + rat(t["coeff"])
-    return DecoratedElement(obj["bottom"], obj["top"], terms)
+    for t in json_field(obj, "terms", list, "a list of terms"):
+        m = monomial_from_json(json_field(t, "monomial", dict, "a monomial object"))
+        c = rat(json_field(t, "coeff", (int, str), "an integer or a rational string"))
+        terms[m] = terms.get(m, 0) + c
+    return DecoratedElement(_ints(obj, "bottom"), _ints(obj, "top"), terms)

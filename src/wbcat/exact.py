@@ -23,6 +23,14 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def num(x):
+    """Coerce like rat, but return an int when the value is integral."""
+    if x.__class__ is int:
+        return x
+    x = rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class MultiPoly:
     """Polynomial in y_1..y_nvars with Fraction coefficients.
 

@@ -46,7 +46,7 @@ from .diagrams import (
     swap_seq,
     word_for_monomial,
 )
-from .exact import rref, sparse_rank
+from .exact import num, rref, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,10 @@ class GlContext:
         return cls("parabolic", m + n, m, n, delta)
 
 
-def _num(c):
-    """An exact rational as an int when it is integral, else as a Fraction."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _clean(acc: dict) -> dict:
     """Drop the zero coefficients of an accumulator; a Fraction that has
     become integral turns back into an int."""
-    return {
-        k: c if c.__class__ is int or c.denominator != 1 else c.numerator
-        for k, c in acc.items()
-        if c
-    }
+    return {k: c if c.__class__ is int else num(c) for k, c in acc.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +143,7 @@ class ModuleVector:
     def __init__(self, ctx: GlContext, A, terms=None):
         self.ctx = ctx
         self.A = orseq(A)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = _num(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        self.terms = _clean({k: num(c) for k, c in terms.items()}) if terms else {}
 
     @classmethod
     def basis_vector(cls, ctx, A, slots, mu=()) -> "ModuleVector":
@@ -190,7 +171,7 @@ class ModuleVector:
         for k, c in other.terms.items():
             s = get(k, 0) + c
             if s:
-                out[k] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+                out[k] = s if s.__class__ is int else num(s)
             else:
                 del out[k]
         return _vector(self.ctx, self.A, out)
@@ -199,7 +180,7 @@ class ModuleVector:
         return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleVector":
-        c = _num(c)
+        c = num(c)
         return _vector(
             self.ctx, self.A, _clean({k: c * x for k, x in self.terms.items()}) if c else {}
         )

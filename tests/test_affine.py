@@ -413,3 +413,40 @@ def test_push_dot_identity_strand():
     assert el == DecoratedElement.from_monomial(
         Monomial(m.diagram, (0, 1, 0), (0, 0, 0))
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact coefficients and the sharing contract.
+
+
+def _exact_coeffs(el):
+    # an int whenever integral, a Fraction only when not; never a float
+    return all(type(c) is int or (type(c) is F and c.denominator != 1) for c in el.terms.values())
+
+
+def test_level_two_products_keep_integral_coefficients_as_int():
+    A, p = (1, -1, 1), make_params(3, 3, 0)
+    rng = random.Random(7)
+    fractions = 0
+    for _ in range(20):
+        x = DecoratedElement.from_monomial(random_monomial(rng, A, A, 1), F(rng.choice([1, 2, 3]), 3))
+        y = DecoratedElement.from_monomial(random_monomial(rng, A, A, 1), rng.choice([1, -2]))
+        prod = multiply(x, y, p.omega)
+        stacked = DecoratedElement.from_monomial(random_monomial(rng, A, A, 2), F(3, 2))
+        for el in (prod, reduce(prod + stacked, p.omega), cyclo_reduce(prod + stacked, p)):
+            assert _exact_coeffs(el)
+            fractions += any(type(c) is F for c in el.terms.values())
+    assert fractions  # non-integral coefficients do occur
+
+
+def test_cyclo_reduce_leaves_a_shared_reduced_element_alone(monkeypatch):
+    # affine.reduce may hand back an element that others hold too (a memoized
+    # one); cyclo_reduce must eliminate dot stacks in a copy of its terms
+    A, p = (1, -1), make_params(2, 2, 0)
+    y1 = generator("y", A, 1)
+    shared = multiply(y1, y1, p.omega) + y1.scale(F(1, 2))
+    want = cyclo_reduce(shared, p)
+    before = dict(shared.terms)
+    monkeypatch.setattr("wbcat.cyclotomic.affine_reduce", lambda x, omega: shared)
+    assert cyclo_reduce(shared, p) == want
+    assert shared.terms == before

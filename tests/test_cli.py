@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -174,6 +175,49 @@ def test_reduce_fixpoint_and_determinism(capsys):
     parsed = json.loads(out1)
     assert parsed["terms"][0]["coeff"] == "2"
     assert parsed["terms"][0]["monomial"]["gamma"] == [1, 0]
+
+
+def _element(coeff='"1"', arc="t2", terms=None):
+    mono = f'{{"arcs":[["b1","t1"],["b2","{arc}"]],"bottom":[1,-1],"top":[1,-1],"gamma":[2,0],"eta":[0,0]}}'
+    terms = terms or f'[{{"coeff":{coeff},"monomial":{mono}}}]'
+    return f'{{"bottom":[1,-1],"top":[1,-1],"terms":{terms}}}'
+
+
+PARAMS = ("--m", "2", "--n", "2", "--delta", "0")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--element", _element(coeff="1.5"), *PARAMS),
+        ("--element", _element(arc="t9"), *PARAMS),
+        ("--element", _element(terms='{"a": 1}'), *PARAMS),
+        ("--element", '"x"', *PARAMS),
+        ("--element", _element(), "--omega-json", "[1,2]"),
+    ],
+    ids=["float-coeff", "arc-endpoint", "terms-dict", "string-element", "omega-list"],
+)
+def test_malformed_json_is_a_json_error(args):
+    r = subprocess.run(
+        [sys.executable, "-m", "wbcat.cli", "reduce", *args], capture_output=True, text=True
+    )
+    assert r.returncode == 1 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "error" in json.loads(r.stderr)
+
+
+@pytest.mark.parametrize(
+    "seq, mnd, digest",
+    [
+        ("1,-1", (2, 2, 0), "df254e59713c3605"),
+        ("-1,1", (2, 2, 1), "005b370c407d6cb9"),
+        ("1,-1,1", (3, 3, 0), "4f3b5114c3ba2909"),
+    ],
+    ids=["(1,-1)@220", "(-1,1)@221", "(1,-1,1)@330"],
+)
+def test_struct_consts_bytes_are_pinned(capsys, seq, mnd, digest):
+    m, n, delta = map(str, mnd)
+    code, out, _ = run_main(capsys, "struct-consts", f"--seq={seq}", "--m", m, "--n", n, "--delta", delta)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_reduce_affine_keeps_dot_stack(capsys):

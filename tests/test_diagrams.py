@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +176,54 @@ def test_element_arithmetic():
     assert x.degree() == 0
     y = generator("y", A, 1)
     assert (x + y).degree() == 1
+
+
+# ---------------------------------------------------------------------------
+# The linear-combination kernel.
+
+
+def _reference_sum(parts):
+    # the plain definition: sum c * x coefficient by coefficient, zeros dropped
+    acc = {}
+    for c, x in parts:
+        for m, v in x.terms.items():
+            acc[m] = acc.get(m, 0) + c * v
+    return {m: v for m, v in acc.items() if v != 0}
+
+
+_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@pytest.mark.parametrize("A", [(1, -1), (1, -1, 1)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lincomb_matches_the_reference_sum(A, data):
+    # a small monomial pool makes cancellations to zero frequent
+    pool = cyclotomic_monomials(A)[:6]
+    elements = [
+        DecoratedElement(A, A, data.draw(st.dictionaries(st.sampled_from(pool), _coeffs, max_size=4)))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    parts = [(data.draw(_coeffs), data.draw(st.sampled_from(elements))) for _ in range(5)]
+    # each element once more with the opposite coefficient of its first use
+    parts += [(-c, x) for c, x in parts[: data.draw(st.integers(0, 2))]]
+    before = [dict(x.terms) for _, x in parts]
+    got = DecoratedElement.lincomb(A, A, parts)
+    assert got.terms == _reference_sum(parts)
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert [x.terms for _, x in parts] == before  # no part changed
+    assert all(got.terms is not x.terms for _, x in parts)
+    with pytest.raises(ValueError, match="boundary"):
+        DecoratedElement.lincomb(A, A, parts + [(1, DecoratedElement.unit((A[1], A[0]) + A[2:]))])
+
+
+def test_lincomb_cancels_to_the_zero_element():
+    A = (1, -1)
+    x = generator("e", A, 1) + generator("y", A, 1).scale(Fraction(1, 2))
+    zero = DecoratedElement.lincomb(A, A, [(2, x), (Fraction(-4, 2), x)])
+    assert zero.is_zero() and zero.terms == {} and (zero.bottom, zero.top) == (A, A)
+    assert (x - x).terms == {} and x.scale(0).terms == {}
+    assert [type(c) for c in x.scale(2).terms.values()] == [int, int]

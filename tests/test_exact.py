@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from wbcat.diagrams import generator
 from wbcat.exact import (
     LaurentSeries,
     MultiPoly,
     nullspace,
+    num,
     poly_parse,
     row_echelon,
     rref,
@@ -17,6 +19,7 @@ from wbcat.exact import (
     series_star,
     sparse_rank,
 )
+from wbcat.glrep import GlContext, ModuleVector
 
 
 def test_poly_basic_ops():
@@ -218,3 +221,22 @@ def test_nullspace():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and v[2] == 0 and any(v)
+
+
+def test_num_is_exact_and_keeps_integral_values_as_int():
+    assert [num(x) for x in (3, F(6, 3), "4/2", "-3/6", F(1, 3))] == [3, 2, 2, F(-1, 2), F(1, 3)]
+    assert [type(num(x)) for x in (F(6, 3), "4/2", F(1, 3))] == [int, int, F]
+    for bad in (0.1, 1.0, None):
+        with pytest.raises(TypeError):
+            num(bad)
+
+
+def test_scaling_by_a_float_is_refused():
+    # no floating point anywhere: both engines refuse an inexact scalar
+    v = ModuleVector.basis_vector(GlContext.trivial(2), (1, -1), (1, 1))
+    x = generator("y", (1, -1), 1)
+    for scale in (v.scale, x.scale):
+        with pytest.raises(TypeError):
+            scale(0.1)
+    assert v.scale(F(4, 2)).terms == {((), (1, 1)): 2}
+    assert [type(c) for c in x.scale(F(4, 2)).terms.values()] == [int]
