@@ -55,7 +55,7 @@ different objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,6 +111,15 @@ class OmegaSpec:
     n: int = 0
     delta: int = 0
     N: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a memo key of tok_mono and the cyclotomic caches: hash it once
+        key = (self.kind, self.values, self.m, self.n, self.delta, self.N)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_list(cls, values) -> "OmegaSpec":

@@ -57,6 +57,7 @@ class CycloParams:
     beta1s: Fraction = field(init=False)
     beta2s: Fraction = field(init=False)
     omega: OmegaSpec = field(init=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -68,6 +69,11 @@ class CycloParams:
         object.__setattr__(self, "beta1s", Fraction(self.m + self.n, 2))
         object.__setattr__(self, "beta2s", Fraction(self.delta) + Fraction(self.m - self.n, 2))
         object.__setattr__(self, "omega", OmegaSpec.from_mn_delta(self.m, self.n, self.delta))
+        # every other field follows from (m, n, delta); hash once, not per memo lookup
+        object.__setattr__(self, "_hash", hash((self.m, self.n, self.delta)))
+
+    def __hash__(self):
+        return self._hash
 
     def roots(self, orientation: int):
         if orientation == 1:

@@ -9,6 +9,7 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 import re
 
 
@@ -401,8 +402,9 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q: dense row reduction and a sparse rank. Entries
-# may be int or Fraction; every division goes through Fraction, so integer
-# input never turns into float.
+# may be int or Fraction, never float. The dense routines divide through
+# Fraction; the sparse rank clears denominators once and then eliminates
+# fraction-free on int (Bareiss 1968), dividing out only common factors.
 
 
 def row_echelon(rows):
@@ -438,31 +440,51 @@ def row_echelon(rows):
     return rank
 
 
+def _int_row(row) -> dict:
+    """The nonzero entries of a sparse row as ints: a row with a Fraction
+    entry is scaled by the lcm of its denominators."""
+    row = {k: v for k, v in row.items() if v}
+    if any(v.__class__ is not int for v in row.values()):
+        den = lcm(*(rat(v).denominator for v in row.values()))
+        row = {k: (v * den).numerator for k, v in row.items()}
+    return row
+
+
 def sparse_rank(rows) -> int:
     """Rank of a list of sparse rows (dicts key -> int or Fraction); zero
     values are ignored and the input is not modified.
 
-    Each row is reduced against every pivot key it contains, pass after
-    pass, until it contains none. If anything is left, its new pivot is the
-    key whose column has the fewest nonzeros in the input (ties go to the
-    first such key in the row), a static Markowitz-style rule that keeps
-    the fill-in of the stored pivot rows low.
+    Elimination is fraction-free. Each row is scaled to integers, then
+    reduced against every pivot key it contains, pass after pass, until it
+    contains none: with p the pivot row's entry at the key, f the row's and
+    g = gcd(p, f), row <- (p/g) row - (f/g) pivot row. If anything is left,
+    it is divided by the gcd of its entries and stored as a pivot row; its
+    pivot is the key whose column has the fewest nonzeros in the input (ties
+    go to the first such key in the row), a static Markowitz-style rule that
+    keeps the fill-in of the stored pivot rows low.
     """
     colcount = {}
     for row in rows:
         for k, v in row.items():
             if v:
                 colcount[k] = colcount.get(k, 0) + 1
-    pivots = {}  # pivot key -> row scaled to 1 at the pivot
+    pivots = {}  # pivot key -> (its entry p > 0, the rest of the primitive row)
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
+        row = _int_row(row)
         hits = [k for k in row if k in pivots]
         while hits:
             for hit in hits:
-                f = row.get(hit)
+                f = row.pop(hit, None)
                 if f is None:  # cancelled by an earlier step of this pass
                     continue
-                for k, v in pivots[hit].items():
+                p, rest = pivots[hit]
+                g = gcd(p, f)
+                if g != p:
+                    a = p // g
+                    for k in row:
+                        row[k] *= a
+                f //= g
+                for k, v in rest.items():
                     s = row.get(k, 0) - f * v
                     if s:
                         row[k] = s
@@ -471,8 +493,11 @@ def sparse_rank(rows) -> int:
             hits = [k for k in row if k in pivots]
         if row:
             k0 = min(row, key=colcount.__getitem__)
-            inv = Fraction(1) / row[k0]
-            pivots[k0] = {k: v * inv for k, v in row.items()}
+            c = gcd(*row.values())
+            if row[k0] < 0:
+                c = -c
+            p = row.pop(k0) // c
+            pivots[k0] = (p, {k: v // c for k, v in row.items()} if c != 1 else row)
     return len(pivots)
 
 

@@ -24,8 +24,11 @@ to E_aa z = -delta z (a <= m) and E u^- multiplication.
 Between two slots, Omega is read from a small cached table (_slot_pair)
 built from the slot rule above by summing over (a, b): a swap when the
 slots have the same orientation, minus a cap-cup when they are opposite.
-Between the module and a slot it runs over the new slot value d and
-applies the cached module action.
+Between the module and a slot it is read from a second cached table
+(_module_slot): for one slot value and one PBW monomial, every new slot
+value d with the module action that goes with it, already signed. A dot
+y_i adds all of its Omega terms into one accumulator seeded with (N/2)v
+and cleans it once (see _clean).
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -124,6 +127,20 @@ def _slot_pair(N: int, up_j: bool, up_k: bool, e: int, c: int):
             at_j, at_k = _slot_E(up_j, a, b, e), _slot_E(up_k, b, a, c)
             if at_j and at_k:
                 out.append((at_j[0], at_k[0], at_j[1] * at_k[1]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _module_slot(N: int, m: int, delta: int, up: bool, c: int, mu: tuple):
+    """Omega between the module and a slot holding v_c (up) or v*_c, on
+    x^mu z: ((d, coeff, nu), ...), the slot becoming d and x^mu z becoming
+    coeff * x^nu z, with int coefficients."""
+    out = []
+    for d in range(1, N + 1):
+        # E_ba sends the slot from c to d (by _slot_E); E_ab acts on M
+        a, b = (c, d) if up else (d, c)
+        for c2, nu in _module_action(m, delta, a, b, mu):
+            out.append((d, c2 if up else -c2, nu))
     return tuple(out)
 
 
@@ -235,8 +252,12 @@ def apply_E(ctx, a: int, b: int, v: ModuleVector) -> ModuleVector:
     return out
 
 
-def omega_pair(v: ModuleVector, j: int, k: int) -> ModuleVector:
-    """Omega_{jk}: the split Casimir between factors j < k (0 = module)."""
+def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
+    """Omega_{jk}: the split Casimir between factors j < k (0 = module).
+
+    With `acc`, a dict of terms (mu, slots) -> coefficient over the same
+    object, the terms of Omega_{jk} v are added into it and None is
+    returned; the caller cleans it (see _clean)."""
     if j > k:
         j, k = k, j
     if j == k or k == 0:
@@ -244,23 +265,17 @@ def omega_pair(v: ModuleVector, j: int, k: int) -> ModuleVector:
     ctx = v.ctx
     N = ctx.N
     up_k = v.A[k - 1] == 1
-    acc = {}
+    own = acc is None
+    if own:
+        acc = {}
     get = acc.get
     if j == 0:
-        if ctx.kind == "trivial":
-            return _vector(ctx, v.A, {})
-        m, delta = ctx.m, ctx.delta
-        for (mu, slots), coeff in v.terms.items():
-            c = slots[k - 1]
-            head, tail = slots[: k - 1], slots[k:]
-            if not up_k:
-                coeff = -coeff
-            for d in range(1, N + 1):
-                # E_ba sends slot k from c to d (by _slot_E); E_ab acts on M
-                a, b = (c, d) if up_k else (d, c)
-                ns = head + (d,) + tail
-                for c2, nu in _module_action(m, delta, a, b, mu):
-                    key = (nu, ns)
+        if ctx.kind == "parabolic":
+            m, delta = ctx.m, ctx.delta
+            for (mu, slots), coeff in v.terms.items():
+                head, tail = slots[: k - 1], slots[k:]
+                for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):
+                    key = (nu, head + (d,) + tail)
                     acc[key] = get(key, 0) + coeff * c2
     else:
         up_j = v.A[j - 1] == 1
@@ -270,18 +285,19 @@ def omega_pair(v: ModuleVector, j: int, k: int) -> ModuleVector:
                 ns[j - 1], ns[k - 1] = e2, c2
                 key = (mu, tuple(ns))
                 acc[key] = get(key, 0) + sgn * coeff
-    return _vector(ctx, v.A, _clean(acc))
+    return _vector(ctx, v.A, _clean(acc)) if own else None
 
 
 def y_apply(v: ModuleVector, i: int) -> ModuleVector:
-    """y_i = sum_{0 <= k < i} Omega_{ki} + N/2."""
+    """y_i = sum_{0 <= k < i} Omega_{ki} + N/2, summed in one accumulator."""
     if not 1 <= i <= len(v.A):
         raise ValueError("dot index out of range")
     N = v.ctx.N
-    out = v.scale(N // 2 if N % 2 == 0 else Fraction(N, 2))
+    half = N // 2 if N % 2 == 0 else Fraction(N, 2)
+    acc = {key: half * c for key, c in v.terms.items()}
     for k in range(i):
-        out = out + omega_pair(v, k, i)
-    return out
+        omega_pair(v, k, i, acc)
+    return _vector(v.ctx, v.A, _clean(acc))
 
 
 def apply_token(tok, v: ModuleVector) -> ModuleVector:

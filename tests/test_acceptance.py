@@ -67,16 +67,28 @@ def test_criterion_1_dimension_formula():
 
 
 def test_criterion_2_faithfulness():
+    # every 2- and 3-strand ordering; where the basis theorem's hypotheses
+    # fail (no upward strand) the monomials only span, so the rank is
+    # bounded by their number and no dimension is claimed
     t0 = time.monotonic()
+    certified = 0
     for delta in (0, 1):
         p = make_params(3, 3, delta)
-        for A in ((1, -1), (-1, 1), (1, 1, -1)):
+        for A in [A for k in (2, 3) for A in product((1, -1), repeat=k)]:
             rank = faithfulness_rank(A, p)
-            size = len(cyclotomic.basis(A, p))
-            assert rank == size, (A, delta, rank, size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                size = len(cyclotomic.basis(A, p))
+            if cyclotomic.basis_hypotheses(A, p):
+                assert rank == size, (A, delta, rank, size)
+                certified += 1
+            else:
+                assert set(A) == {-1}
+                assert 0 < rank <= size, (A, delta, rank, size)
+    assert certified == 20
     elapsed = time.monotonic() - t0
     assert elapsed < 300, f"faithfulness scan took {elapsed:.1f}s"
-    print(f"criterion 2 PASS: representation rank equals basis size ({elapsed:.1f}s)")
+    print(f"criterion 2 PASS: rank equals basis size on 20 of 24 cases ({elapsed:.1f}s)")
 
 
 def _relation_failures(ctx, A, omega, vecs_full, vecs_slot):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wbcat.affine import multiply
+from wbcat.affine import OmegaSpec, multiply
 from wbcat.cyclotomic import (
     CycloParams,
     basis,
@@ -52,6 +52,27 @@ def test_params_degenerate_rejected():
 def test_params_json_round_trip():
     p = make_params(3, 2, -1)
     assert CycloParams.from_json(p.to_json()) == p
+
+
+def test_params_and_omega_are_hashed_once(monkeypatch):
+    # both are memo keys on the rewriting path; a lookup must not rehash
+    # their Fraction fields
+    pairs = [
+        (make_params(3, 2, -1), CycloParams.from_json({"m": 3, "n": 2, "delta": -1})),
+        (OmegaSpec.from_list([F(3, 2), 1]), OmegaSpec.from_json({"kind": "list", "values": ["3/2", 1]})),
+        (OmegaSpec.from_mn_delta(3, 3, 0), make_params(3, 3, 0).omega),
+    ]
+    pairs += [
+        (make_params(3, 3, 1), make_params(3, 3, 0)),
+        (OmegaSpec.from_list([1, 2]), OmegaSpec.from_list([1])),
+    ]
+    calls = []
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or 0)
+    for x, y in pairs[:3]:
+        assert x is not y and x == y and hash(x) == hash(y)
+    for x, y in pairs[3:]:
+        assert x != y and {x: 1}.get(y) is None
+    assert calls == []
 
 
 def test_w1_closed_form_equals_recursion():

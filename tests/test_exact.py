@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from wbcat.diagrams import generator
 from wbcat.exact import (
+    _int_row,
     LaurentSeries,
     MultiPoly,
     nullspace,
@@ -181,20 +182,85 @@ def test_sparse_rank_matches_dense():
     assert sparse_rank([]) == 0
 
 
-@settings(max_examples=60, deadline=None)
+def test_sparse_rank_clears_denominators():
+    # rows 1 and 2 are 3 * row 0 and 7/5 * row 3; ints and Fractions mixed
+    rows = [{0: F(1, 3), 1: 2}, {0: 1, 1: 6}, {1: F(5, 7), 2: 3, 3: F(-1, 3)}]
+    rows.append({1: 1, 2: F(21, 5), 3: F(-7, 15)})
+    assert _check_sparse_rank(rows) == 2
+    rows[1][2] = F(1, 1000)
+    assert _check_sparse_rank(rows) == 3
+
+
+def test_sparse_rank_integral_fractions_become_ints():
+    for row in ({0: F(4, 2), 1: F(-6, 3), 2: 0}, {0: F(1, 3), 1: 5, 2: F(5, 7)}):
+        scaled = _int_row(row)
+        assert all(type(x) is int for x in scaled.values())
+        assert set(scaled) == {k for k, x in row.items() if x}
+        assert all(scaled[k] * row[0] == scaled[0] * row[k] for k in scaled)
+    assert _int_row({0: F(4, 2), 1: 3}) == {0: 2, 1: 3}
+    assert _check_sparse_rank([{0: F(4, 2), 1: F(6, 3)}, {0: 1, 1: 1}, {1: F(9, 3)}]) == 2
+
+
+def test_sparse_rank_large_entries():
+    # det = -1 on 10**17-sized entries, then a row that is row0 + row1
+    big = 10**17
+    rows = [{0: big, 1: big + 1}, {0: big + 1, 1: big + 2}, {0: 2 * big + 1, 1: 2 * big + 3}]
+    assert _check_sparse_rank(rows) == 2
+    rows = [{0: big, 1: 1, 2: big - 1}, {0: 3, 1: big, 2: 7}, {0: big * big, 2: 1}]
+    assert _check_sparse_rank(rows) == 3
+
+
+def test_sparse_rank_with_growing_coefficients():
+    # the Hilbert matrix has full rank; after clearing denominators its
+    # pivots are large, so rows are scaled and their entries grow
+    n = 8
+    hilbert = [{j: F(1, i + j + 1) for j in range(n)} for i in range(n)]
+    assert _check_sparse_rank(hilbert) == n
+    # a combination of the rows with large coefficients adds nothing
+    extra = {j: sum(F(c) * hilbert[i][j] for i, c in enumerate((3, -7, 11, 2, 5, -1, 9, 4)))
+             for j in range(n)}
+    assert _check_sparse_rank(hilbert[:4] + [extra] + hilbert[4:]) == n
+    # pivots 2 and 3 with gcd 1: row <- 2 row - 3 pivot
+    assert _check_sparse_rank([{0: 2, 1: 3}, {0: 3, 1: 5}, {0: 5, 1: 8}]) == 2
+    # the last row is half the sum of the first two: 2 row - pivot, then the
+    # second pivot cancels what is left
+    assert _check_sparse_rank([{0: 2, 2: 1}, {1: 2, 2: 1}, {0: 1, 1: 1, 2: 1}]) == 2
+    assert _check_sparse_rank([{0: 4, 1: 6, 2: 2}, {0: 6, 1: 9, 2: 3}]) == 1
+
+
+def test_sparse_rank_leaves_the_rows_alone():
+    rows = [{0: F(1, 3), 1: F(4, 2), 2: 0}, {0: 1, 1: 6}, {1: F(5, 7), 2: 3}]
+    copies = [dict(r) for r in rows]
+    ids = [[id(x) for x in r.values()] for r in rows]
+    assert sparse_rank(rows) == 2
+    assert rows == copies and [list(r) for r in rows] == [list(r) for r in copies]
+    assert [[id(x) for x in r.values()] for r in rows] == ids
+    assert [type(x) for x in rows[0].values()] == [F, F, int]
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**18), 10**18),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.integers(-6, 6).map(lambda n: F(2 * n, 2)),  # integral Fractions
+)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
+    st.lists(st.dictionaries(st.integers(0, 5), _ENTRIES, max_size=4), max_size=6),
     st.lists(
-        st.dictionaries(
+        st.tuples(
             st.integers(0, 5),
-            st.fractions(min_value=-3, max_value=3, max_denominator=4),
-            max_size=4,
+            st.integers(0, 5),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
         ),
-        max_size=6,
+        max_size=3,
     ),
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)), max_size=3),
 )
 def test_sparse_rank_property(rows, combos):
-    # append some combinations of earlier rows so that dependent rows occur
+    # append some rational combinations of earlier rows so that dependent
+    # rows occur, including ones that are not an integral combination
     rows = [dict(r) for r in rows]
     for i, j, c in combos:
         if rows:

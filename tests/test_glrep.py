@@ -110,6 +110,25 @@ def _exact_coeffs(v):
     )
 
 
+def _split_casimir(ctx, v, j, k):
+    # Omega_{jk} = sum_{a,b} E_ab at factor j after E_ba at factor k, from
+    # the elementary action alone (not from the diagram identities)
+    out = zero_vector(ctx, v.A)
+    for a in range(1, ctx.N + 1):
+        for b in range(1, ctx.N + 1):
+            out = out + apply_E_at(ctx, a, b, apply_E_at(ctx, b, a, v, k), j)
+    return out
+
+
+def _draw_key(data, ctx, A):
+    slots = data.draw(st.tuples(*[st.integers(1, ctx.N)] * len(A)))
+    mu = ()
+    if ctx.kind == "parabolic":
+        gens = st.sampled_from(u_minus_generators(ctx))
+        mu = tuple(sorted(data.draw(st.lists(gens, max_size=2))))
+    return mu, slots
+
+
 @pytest.mark.parametrize(
     "ctx",
     [
@@ -123,26 +142,60 @@ def _exact_coeffs(v):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_omega_pair_is_the_split_casimir(ctx, data):
-    # Omega_{jk} = sum_{a,b} E_ab at factor j after E_ba at factor k, from
-    # the elementary action alone (not from the diagram identities)
     A = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=2, max_size=3)))
-    slots = data.draw(st.tuples(*[st.integers(1, ctx.N)] * len(A)))
-    mu = ()
-    if ctx.kind == "parabolic":
-        gens = st.sampled_from(u_minus_generators(ctx))
-        mu = tuple(sorted(data.draw(st.lists(gens, max_size=2))))
+    mu, slots = _draw_key(data, ctx, A)
     v = ModuleVector.basis_vector(ctx, A, slots, mu)
     for k in range(1, len(A) + 1):
         for j in range(k):
-            expected = zero_vector(ctx, A)
-            for a in range(1, ctx.N + 1):
-                for b in range(1, ctx.N + 1):
-                    w = apply_E_at(ctx, a, b, apply_E_at(ctx, b, a, v, k), j)
-                    expected = expected + w
+            expected = _split_casimir(ctx, v, j, k)
             got = omega_pair(v, j, k)
             assert got == expected and omega_pair(v, k, j) == expected
             assert _exact_coeffs(got)
         assert _exact_coeffs(y_apply(v, k))
+
+
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GlContext.trivial(2),
+        GlContext.trivial(3),
+        GlContext.parabolic(2, 2, 0),
+        GlContext.parabolic(2, 1, 1),
+    ],
+    ids=lambda c: f"{c.kind}{c.N}m{c.m}",
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_y_apply_sums_its_casimirs_in_one_accumulator(ctx, data):
+    # y_i = N/2 + sum_k Omega_{ki}, each Omega from omega_pair without an
+    # accumulator and checked against the elementary action; trivial(3)
+    # makes the shift the Fraction 3/2
+    A = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=3)))
+
+    def vector():
+        terms = {_draw_key(data, ctx, A): data.draw(_COEFFS) for _ in range(3)}
+        return ModuleVector(ctx, A, terms)
+
+    v, w = vector(), vector()
+    for i in range(1, len(A) + 1):
+        expected = v.scale(F(ctx.N, 2))
+        for k in range(i):
+            omega = omega_pair(v, k, i)
+            assert omega == _split_casimir(ctx, v, k, i)
+            expected = expected + omega
+            # adding into a nonempty accumulator is the vector sum
+            acc = dict(w.terms)
+            assert omega_pair(v, k, i, acc) is None
+            assert ModuleVector(ctx, A, acc) == w + omega
+        got = y_apply(v, i)
+        assert got == expected
+        assert _exact_coeffs(got)
 
 
 @pytest.mark.parametrize(
