@@ -6,7 +6,7 @@ rank.
 
 Usage:
     python3 scripts/dimension_scan.py --kmax 4
-    python3 scripts/dimension_scan.py --kmax 2 --check-rank --m 3 --n 3
+    python3 scripts/dimension_scan.py --kmax 4 --check-rank --m 4 --n 4
 """
 
 import argparse
@@ -37,7 +37,8 @@ def main(argv=None) -> int:
     ap.add_argument("--delta", type=int, default=0)
     ap.add_argument("--kmax", type=int, default=4)
     ap.add_argument("--check-rank", action="store_true",
-                    help="also compute the representation rank (slow for k >= 3)")
+                    help="also compute the representation rank "
+                         "(6-10 s per ordering at k = 4)")
     args = ap.parse_args(argv)
     cfg = ScanConfig(args.m, args.n, args.delta, args.kmax, args.check_rank)
     p = make_params(cfg.m, cfg.n, cfg.delta)

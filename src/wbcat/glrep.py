@@ -480,25 +480,54 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
     return (c0, c1, Fraction(1))
 
 
-def faithfulness_rank(A, params) -> int:
-    """Rank of basis-monomial images on all tensor inputs z (x) v_beta.
+def levi_inputs(m: int, N: int, k: int):
+    """Split the slot tuples beta in {1..N}^k into (firsts, rest), each in
+    lexicographic order: beta is first of its S_m x S_n orbit when, read
+    left to right, every new value in 1..m is the smallest unused one of
+    1..m and every new value in m+1..N the smallest unused one of m+1..N."""
+    firsts, rest = [], []
+    for beta in product(range(1, N + 1), repeat=k):
+        fresh = [1, m + 1]  # smallest unused value on each side
+        for b in beta:
+            side = b > m
+            if b > fresh[side]:
+                rest.append(beta)
+                break
+            if b == fresh[side]:
+                fresh[side] += 1
+        else:
+            firsts.append(beta)
+    return firsts, rest
 
-    `params` provides m, n, delta (the cyclotomic parameter triple).
+
+def faithfulness_rank(A, params) -> int:
+    """Rank of the basis-monomial images on all tensor inputs z (x) v_beta,
+    beta in {1..N}^k.
+
+    `params` provides m, n, delta (the cyclotomic parameter triple). One row
+    per regular monomial; one int-numbered column per pair (beta, key). The
+    rows are first built and ranked on the inputs that are first of their
+    S_m x S_n orbit (levi_inputs). A column subset has rank at most the full
+    rank, which is at most the number of rows, so a full rank there is the
+    answer. Otherwise the remaining inputs are added to the same rows and
+    the whole matrix is ranked. Why the first pass is expected to suffice:
+    docs/decisions.md.
     """
     A = orseq(A)
     ctx = GlContext.parabolic(params.m, params.n, params.delta)
-    monos = cyclotomic_monomials(A)
-    rows = []
-    for mono in monos:
-        el = DecoratedElement.from_monomial(mono)
-        row = {}
-        for beta in product(range(1, ctx.N + 1), repeat=len(A)):
+    elements = [DecoratedElement.from_monomial(mono) for mono in cyclotomic_monomials(A)]
+    rows = [{} for _ in elements]
+    cols = {}
+    for inputs in levi_inputs(ctx.m, ctx.N, len(A)):
+        for beta in inputs:
             v = ModuleVector.basis_vector(ctx, A, beta)
-            w = represent(el, v)
-            for key, c in w.terms.items():
-                row[(beta, key)] = c
-        rows.append(row)
-    return sparse_rank(rows)
+            for el, row in zip(elements, rows):
+                for key, c in represent(el, v).terms.items():
+                    row[cols.setdefault((beta, key), len(cols))] = c
+        rank = sparse_rank(rows)
+        if rank == len(rows):
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

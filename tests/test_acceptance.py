@@ -91,6 +91,19 @@ def test_criterion_2_faithfulness():
     print(f"criterion 2 PASS: rank equals basis size on 20 of 24 cases ({elapsed:.1f}s)")
 
 
+def test_criterion_2_faithfulness_four_strands():
+    t0 = time.monotonic()
+    A, p = (1, 1, -1, -1), make_params(4, 4, 0)
+    rank = faithfulness_rank(A, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        size = len(cyclotomic.basis(A, p))
+    assert rank == 384 == size, (rank, size)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 300, f"4-strand faithfulness took {elapsed:.1f}s"
+    print(f"criterion 2 PASS: rank 384 on End(1,1,-1,-1) at (4,4,0) ({elapsed:.1f}s)")
+
+
 def _relation_failures(ctx, A, omega, vecs_full, vecs_slot):
     bad = []
     for rid, (lhs, rhs) in all_instances(A):

@@ -1,10 +1,19 @@
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from wbcat.diagrams import DecoratedElement, Monomial, generator, token_diagram
+from wbcat import glrep
+from wbcat.diagrams import (
+    DecoratedElement,
+    Monomial,
+    cyclotomic_monomials,
+    generator,
+    token_diagram,
+)
+from wbcat.exact import sparse_rank
 from wbcat.glrep import (
     GlContext,
     ModuleVector,
@@ -15,6 +24,7 @@ from wbcat.glrep import (
     apply_word,
     extract_omega,
     faithfulness_rank,
+    levi_inputs,
     omega_pair,
     represent,
     spanning_vectors,
@@ -318,3 +328,79 @@ def test_verify_section8_parabolic():
 
 def test_faithfulness_rank_single_strand():
     assert faithfulness_rank((1,), Params(2, 2, 0)) == 2
+
+
+def _rank_on_every_input(A, p, act=represent):
+    """Reference: one row per regular monomial over every input beta, with
+    the (beta, key) tuples themselves as column keys."""
+    ctx = GlContext.parabolic(p.m, p.n, p.delta)
+    rows = []
+    for mono in cyclotomic_monomials(A):
+        el = DecoratedElement.from_monomial(mono)
+        row = {}
+        for beta in product(range(1, ctx.N + 1), repeat=len(A)):
+            w = act(el, ModuleVector.basis_vector(ctx, A, beta))
+            for key, c in w.terms.items():
+                row[(beta, key)] = c
+        rows.append(row)
+    return sparse_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "A, mnd, rank",
+    [
+        ((1, -1, -1), (3, 3, 0), 48),
+        # unfaithful: the rank is below the number of rows, so every
+        # input is ranked, not only the first of each orbit
+        ((1, -1), (1, 1, 0), 6),
+        ((1, 1, -1), (1, 1, 0), 20),
+        ((1, -1, -1), (1, 1, 0), 20),
+        ((1, -1), (2, 1, 0), 7),
+        ((1, 1, -1), (2, 1, 0), 33),
+        ((1, -1, -1), (2, 1, 0), 33),
+        ((1, 1, -1), (2, 2, 0), 46),
+    ],
+)
+def test_faithfulness_rank_matches_every_input_reference(A, mnd, rank):
+    p = Params(*mnd)
+    assert faithfulness_rank(A, p) == _rank_on_every_input(A, p) == rank
+    assert (rank == len(cyclotomic_monomials(A))) == (mnd == (3, 3, 0))
+
+
+def test_faithfulness_rank_does_not_rely_on_levi_symmetry(monkeypatch):
+    # a map that kills every first-of-orbit input commutes with no Levi
+    # permutation; the rank must then come from the other inputs
+    A, p = (1, -1), Params(2, 1, 0)
+    firsts = set(levi_inputs(2, 3, 2)[0])
+
+    def skewed(el, v):
+        ((_, slots),) = v.terms
+        return zero_vector(v.ctx, el.top) if slots in firsts else represent(el, v)
+
+    monkeypatch.setattr(glrep, "represent", skewed)
+    assert faithfulness_rank(A, p) == _rank_on_every_input(A, p, skewed) > 0
+
+
+def _levi_orbit_count(m, N, k):
+    """Orbits of S_m x S_n on {1..N}^k, by closing each unseen input under
+    every permutation of the values."""
+    group = [
+        dict(zip(range(1, N + 1), left + right))
+        for left in permutations(range(1, m + 1))
+        for right in permutations(range(m + 1, N + 1))
+    ]
+    seen, orbits = set(), 0
+    for beta in product(range(1, N + 1), repeat=k):
+        if beta not in seen:
+            orbits += 1
+            seen.update(tuple(g[b] for b in beta) for g in group)
+    return orbits
+
+
+@pytest.mark.parametrize("m, n, k, count", [(3, 3, 2, 6), (3, 3, 3, 22), (4, 4, 4, 94)])
+def test_levi_inputs_pick_one_input_per_orbit(m, n, k, count):
+    N = m + n
+    firsts, rest = levi_inputs(m, N, k)
+    every = list(product(range(1, N + 1), repeat=k))
+    assert sorted(firsts + rest) == every  # every input once, no repeats
+    assert len(firsts) == _levi_orbit_count(m, N, k) == count
