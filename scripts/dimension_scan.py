@@ -14,20 +14,10 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from itertools import product
 
 from wbcat.cyclotomic import basis, make_params
 from wbcat.glrep import faithfulness_rank
-
-
-@dataclass
-class ScanConfig:
-    m: int
-    n: int
-    delta: int
-    kmax: int
-    check_rank: bool
 
 
 def main(argv=None) -> int:
@@ -40,10 +30,9 @@ def main(argv=None) -> int:
                     help="also compute the representation rank "
                          "(6-10 s per ordering at k = 4)")
     args = ap.parse_args(argv)
-    cfg = ScanConfig(args.m, args.n, args.delta, args.kmax, args.check_rank)
-    p = make_params(cfg.m, cfg.n, cfg.delta)
+    p = make_params(args.m, args.n, args.delta)
     ok = True
-    for k in range(1, cfg.kmax + 1):
+    for k in range(1, args.kmax + 1):
         expected = 2**k * math.factorial(k)
         for A in product((1, -1), repeat=k):
             t0 = time.monotonic()
@@ -54,7 +43,7 @@ def main(argv=None) -> int:
             if d != expected:
                 line += "   <-- MISMATCH"
                 ok = False
-            if cfg.check_rank:
+            if args.check_rank:
                 r = faithfulness_rank(A, p)
                 line += f" rank={r:>5}"
                 if r != d:

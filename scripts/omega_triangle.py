@@ -10,32 +10,23 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from wbcat.cyclotomic import make_params, w1_closed_form
 from wbcat.glrep import GlContext, extract_omega
 
 
-@dataclass
-class ScanConfig:
-    m: int
-    n: int
-    delta: int
-    kmax: int
-
-
-def triangle_rows(cfg: ScanConfig):
-    ctx = GlContext.parabolic(cfg.m, cfg.n, cfg.delta)
-    p = make_params(cfg.m, cfg.n, cfg.delta)
-    for k in range(cfg.kmax + 1):
+def triangle_rows(m: int, n: int, delta: int, kmax: int):
+    ctx = GlContext.parabolic(m, n, delta)
+    p = make_params(m, n, delta)
+    for k in range(kmax + 1):
         yield k, extract_omega(ctx, k), p.omega(k), w1_closed_form(p, k)
 
 
-def show(cfg: ScanConfig) -> bool:
-    print(f"m={cfg.m} n={cfg.n} delta={cfg.delta}")
+def show(m: int, n: int, delta: int, kmax: int) -> bool:
+    print(f"m={m} n={n} delta={delta}")
     print(f"{'k':>3} {'representation':>16} {'recursion':>16} {'closed form':>16}")
     ok = True
-    for k, rep, rec, closed in triangle_rows(cfg):
+    for k, rep, rec, closed in triangle_rows(m, n, delta, kmax):
         mark = "" if rep == rec == closed else "   <-- MISMATCH"
         ok = ok and not mark
         print(f"{k:>3} {str(rep):>16} {str(rec):>16} {str(closed):>16}{mark}")
@@ -58,10 +49,10 @@ def main(argv=None) -> int:
                 for delta in (-1, 0, 1):
                     if delta in (m, n):
                         continue
-                    ok = show(ScanConfig(m, n, delta, args.kmax)) and ok
+                    ok = show(m, n, delta, args.kmax) and ok
                     print()
     else:
-        ok = show(ScanConfig(args.m, args.n, args.delta, args.kmax))
+        ok = show(args.m, args.n, args.delta, args.kmax)
     return 0 if ok else 1
 
 

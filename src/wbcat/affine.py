@@ -42,8 +42,11 @@ to its partner), one crossing at a time. The main term travels with
 coefficient +1 and every correction consumes the dot, so all recursion is
 on strictly fewer dots and terminates without a depth bound.
 
-Every sum of scaled elements is one call of DecoratedElement.lincomb, which
-accumulates all parts into one fresh dict and never modifies a part.
+Every sum is one call of the kernel: DecoratedElement.lincomb checks the
+boundaries and sums all parts in exact.lincomb into one fresh dict, never
+modifying a part. A generator reaches an element in one way only, through
+apply_word and the memoized tok_mono; that includes the top dots and
+hatted cap-cups of the closed forms above.
 
 The engine recomputes the same small pieces many times over, so the pure
 ones are memoized with functools.lru_cache, unbounded: tok_mono (a token on
@@ -418,22 +421,13 @@ def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         gamma[i - 1] = 0
     for i in bad_top:
         eta[i - 1] = 0
-    el = DecoratedElement.from_monomial(Monomial(D, gamma, eta))
-    for i, k in strip_t.items():
-        for _ in range(k):
-            el = _map_terms(el, lambda mm: push_dot(i, mm, omega))
+    word = [("y", i) for i, k in strip_t.items() for _ in range(k)]
+    el = apply_word(word, DecoratedElement.from_monomial(Monomial(D, gamma, eta)), omega)
     for i, k in strip_b.items():
         for _ in range(k):
-            el = _map_terms(el, lambda mm: push_dot_bottom(i, mm, omega))
+            parts = [(c, push_dot_bottom(i, mm, omega)) for mm, c in el.terms.items()]
+            el = DecoratedElement.lincomb(D.bottom, D.top, parts)
     return el
-
-
-def _map_terms(el: DecoratedElement, fn) -> DecoratedElement:
-    parts = [(c, fn(m)) for m, c in el.terms.items()]
-    if not parts:
-        return el
-    first = parts[0][1]
-    return DecoratedElement.lincomb(first.bottom, first.top, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +456,10 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
             corr = Monomial(D, m.gamma, _add_at(_add_at(eta_rest, x, k), x + 1, l))
             parts.append((-sgn, normalize_mono(corr, omega)))
         return DecoratedElement.lincomb(D.bottom, S.top, parts)
-    base = Monomial(D, m.gamma, eta_rest)
+    base = DecoratedElement.from_monomial(Monomial(D, m.gamma, eta_rest))
     for l in range(1, a + b + 1):
-        el = DecoratedElement.from_monomial(base)
-        for _ in range(l - 1):
-            el = _map_terms(el, lambda mm: push_dot(x, mm, omega))
-        el = _map_terms(el, lambda mm: _edot("eh", x, mm, omega))
-        for _ in range(a + b - l):
-            el = _map_terms(el, lambda mm: push_dot(x, mm, omega))
-        parts.append(((-1) ** (a + l), el))
+        word = [("y", x)] * (l - 1) + [("eh", x)] + [("y", x)] * (a + b - l)
+        parts.append(((-1) ** (a + l), apply_word(word, base, omega)))
     return DecoratedElement.lincomb(D.bottom, S.top, parts)
 
 
@@ -487,14 +476,11 @@ def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         loops, C = compose_diagrams(token_diagram((kind, x), B), D)
         if loops != 1:
             raise AssertionError("contraction did not close exactly one loop")
-        base = Monomial(C, m.gamma, _zero_at(m.eta, x))
+        base = DecoratedElement.from_monomial(Monomial(C, m.gamma, _zero_at(m.eta, x)))
         parts = []
         for exp, c in _w_poly(B, x, k, omega).coeffs.items():
-            el = DecoratedElement.from_monomial(base)
-            for j in range(len(exp), 0, -1):
-                for _ in range(exp[j - 1]):
-                    el = _map_terms(el, lambda mm: push_dot(j, mm, omega))
-            parts.append((c, el))
+            word = [("y", j) for j in range(len(exp), 0, -1) for _ in range(exp[j - 1])]
+            parts.append((c, apply_word(word, base, omega)))
         return DecoratedElement.lincomb(D.bottom, C.top, parts)
     if m.eta[x - 1] > 0:
         return _edot_preclear(kind, x, x, m, omega)
@@ -521,9 +507,7 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     else:
         _, corr = _transport(P, m1, omega, *_arc_transport(D, "t", P))
     t1 = apply_element_token((kind, x), corr, omega)
-    t2 = _map_terms(
-        _edot(kind, x, m1, omega), lambda mm: push_dot(P, mm, omega)
-    )
+    t2 = apply_word(((kind, x), ("y", P)), DecoratedElement.from_monomial(m1), omega)
     return t1 - t2
 
 

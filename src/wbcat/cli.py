@@ -15,8 +15,12 @@ Conventions
   (exit 1) beyond the bound: an orientation sequence --seq has at most
   MAX_STRANDS = 8 entries, `omega --k` lies in 0..MAX_OMEGA_K = 10000
   (omega_k is a loop of k steps) and `wseries --k` in 0..MAX_WSERIES_K = 64
-  (w_k is a polynomial whose size grows with k). The commands that
-  enumerate the basis grow like 2^k k! in the number k of strands;
+  (w_k is a polynomial whose size grows with k). A polynomial's variables
+  y_i and `qcancel --pair` lie in 1..MAX_STRANDS, its degree is at most
+  exact.MAX_POLY_DEGREE = 4, and `center-basis --max-deg` lies in
+  0..MAX_CENTER_DEG = 3 (the dense elimination over every monomial of that
+  degree on 8 strands takes about 2 s). The commands that enumerate the
+  basis grow like 2^k k! in the number k of strands;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
   (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
   only span, and the size is printed as "spanning" next to
@@ -52,6 +56,7 @@ from .relations import relation_ids
 MAX_STRANDS = 8
 MAX_OMEGA_K = 10_000
 MAX_WSERIES_K = 64
+MAX_CENTER_DEG = 3
 
 # generic parameter-free omega values for relation checking (relations hold
 # identically in omega; any point with enough coordinates will do)
@@ -77,9 +82,9 @@ def _parse_seq(text):
     return orseq(entries)
 
 
-def _check_k(k, limit):
-    if not 0 <= k <= limit:
-        raise ValueError(f"--k must lie in 0..{limit}")
+def _check_range(name, value, lo, hi):
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in {lo}..{hi}")
 
 
 def _load_json_arg(text):
@@ -91,6 +96,8 @@ def _load_json_arg(text):
 
 def _poly_arg(text, nvars_min=0):
     indices = [int(s[1:]) for s in re.findall(r"y\d+", text)]
+    for i in indices:
+        _check_range("a variable index", i, 1, MAX_STRANDS)
     nvars = max(indices + [nvars_min])
     return poly_parse(text, nvars), nvars
 
@@ -183,7 +190,7 @@ def cmd_struct_consts(args):
 
 def cmd_wseries(args):
     A = _parse_seq(args.seq)
-    _check_k(args.k, MAX_WSERIES_K)
+    _check_range("--k", args.k, 0, MAX_WSERIES_K)
     omega = _omega_from(args)
     if omega is None:
         raise ValueError("wseries needs --m/--n/--delta or --omega-json")
@@ -192,7 +199,7 @@ def cmd_wseries(args):
 
 
 def cmd_omega(args):
-    _check_k(args.k, MAX_OMEGA_K)
+    _check_range("--k", args.k, 0, MAX_OMEGA_K)
     value = _params_from(args).omega(args.k)
     # omega_k may have more digits than Python's int-to-str limit allows
     # (4300 by default); lift the limit for this one conversion only
@@ -216,6 +223,7 @@ def cmd_center_test(args):
 
 def cmd_center_basis(args):
     A = _parse_seq(args.seq)
+    _check_range("--max-deg", args.max_deg, 0, MAX_CENTER_DEG)
     out = cyclotomic.center_basis(A, _params_from(args), args.max_deg)
     return _emit({"basis": [str(q) for q in out]})
 
@@ -225,6 +233,8 @@ def cmd_qcancel(args):
         i, j = (int(x) for x in args.pair.split(","))
     except ValueError:
         raise ValueError(f"bad pair {args.pair!r}; expected i,j")
+    for v in (i, j):
+        _check_range("--pair", v, 1, MAX_STRANDS)
     poly, _ = _poly_arg(args.poly, nvars_min=max(i, j))
     return _emit({"result": cyclotomic.q_cancellation(poly, i, j)})
 

@@ -223,6 +223,16 @@ def poly_element(x: MultiPoly, A) -> DecoratedElement:
     return DecoratedElement.lincomb(A, A, parts)
 
 
+def _substitute(exp: tuple, i: int, j: int):
+    """y^exp under (y_i, y_j) -> (t, -t) as (bucket (k, rest) for t^k y^rest,
+    sign (-1)^{e_j}); None for k = 0, where (0, 0) gives the same term."""
+    k = exp[i - 1] + exp[j - 1]
+    if k == 0:
+        return None
+    rest = tuple(0 if v + 1 in (i, j) else e for v, e in enumerate(exp))
+    return (k, rest), (-1) ** exp[j - 1]
+
+
 def q_cancellation(x: MultiPoly, i: int, j: int) -> bool:
     """True iff substituting (y_i, y_j) -> (t, -t) equals substituting
     (y_i, y_j) -> (0, 0), the remaining variables symbolic."""
@@ -230,13 +240,9 @@ def q_cancellation(x: MultiPoly, i: int, j: int) -> bool:
         raise ValueError("need two distinct positions")
     buckets = {}
     for exp, c in x.coeffs.items():
-        k = exp[i - 1] + exp[j - 1]
-        if k == 0:
-            continue
-        rest = tuple(0 if v + 1 in (i, j) else e for v, e in enumerate(exp))
-        key = (k, rest)
-        buckets[key] = buckets.get(key, Fraction(0)) + c * (-1) ** exp[j - 1]
-    return all(v == 0 for v in buckets.values())
+        if hit := _substitute(exp, i, j):
+            buckets[hit[0]] = buckets.get(hit[0], 0) + hit[1] * c
+    return not any(buckets.values())
 
 
 def endomorphism_generators(A):
@@ -316,11 +322,8 @@ def center_basis(A, p: CycloParams, max_deg: int):
         i, j = pair
         buckets = {}
         for e in exps:
-            k = e[i - 1] + e[j - 1]
-            if k == 0:
-                continue
-            rest = tuple(0 if v + 1 in (i, j) else x for v, x in enumerate(e))
-            buckets.setdefault((k, rest), []).append((col[e], (-1) ** e[j - 1]))
+            if hit := _substitute(e, i, j):
+                buckets.setdefault(hit[0], []).append((col[e], hit[1]))
         for entries in buckets.values():
             row = [Fraction(0)] * len(exps)
             for cidx, sgn in entries:

@@ -13,7 +13,8 @@ gamma_i = 0 at every left endpoint of a bottom arc and eta_i = 0 except at
 left endpoints of top arcs. Regular monomials are the canonical spanning
 set; with binary dots there are 2^n n! of them between any two objects.
 A DecoratedElement is an exact linear combination of monomials; every sum of
-scaled elements is one call of its kernel DecoratedElement.lincomb.
+scaled elements is one call of DecoratedElement.lincomb, which checks the
+boundaries and sums in exact.lincomb, the kernel shared with the gl_N oracle.
 
 word_for_diagram factors any diagram into generator tokens (crossings and
 cap-cup generators): route bottom arcs to adjacent slots, cap them, re-route
@@ -26,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from . import exact
 from .exact import num, rat
 
 # ---------------------------------------------------------------------------
@@ -366,16 +368,10 @@ class DecoratedElement:
     def __init__(self, bottom, top, terms=None):
         self.bottom = orseq(bottom)
         self.top = orseq(top)
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = num(c)
-                if not c:
-                    continue
-                if m.bottom != self.bottom or m.top != self.top:
-                    raise ValueError("monomial boundary mismatch")
-                clean[m] = c
-        self.terms = clean
+        terms = terms or {}
+        if any(m.bottom != self.bottom or m.top != self.top for m in terms):
+            raise ValueError("monomial boundary mismatch")
+        self.terms = exact.lincomb(((1, terms),))
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff=1) -> "DecoratedElement":
@@ -391,24 +387,13 @@ class DecoratedElement:
     @classmethod
     def lincomb(cls, bottom, top, parts) -> "DecoratedElement":
         """sum c * x over the (c, x) in parts, every x going bottom -> top
-        (orientation tuples). The terms accumulate in one fresh dict; no
-        part is modified, so parts may be shared (memoized) elements."""
-        acc = {}
-        get = acc.get
-        for c, x in parts:
-            if x.bottom != bottom or x.top != top:
-                raise ValueError("boundary mismatch")
-            if c.__class__ is not int:
-                c = num(c)
-            if c == 1:
-                for m, v in x.terms.items():
-                    acc[m] = get(m, 0) + v
-            elif c:
-                for m, v in x.terms.items():
-                    acc[m] = get(m, 0) + c * v
+        (orientation tuples), summed by the kernel exact.lincomb: no part is
+        modified, so parts may be shared (memoized) elements."""
+        pairs = [(c, x.terms) for c, x in parts if x.bottom == bottom and x.top == top]
+        if len(pairs) != len(parts):
+            raise ValueError("boundary mismatch")
         el = cls.__new__(cls)
-        el.bottom, el.top = bottom, top
-        el.terms = {m: v if v.__class__ is int else num(v) for m, v in acc.items() if v}
+        el.bottom, el.top, el.terms = bottom, top, exact.lincomb(pairs)
         return el
 
     def is_zero(self) -> bool:
@@ -453,29 +438,36 @@ class DecoratedElement:
         ) + ")"
 
 
-def generator(kind: str, A, i: int) -> DecoratedElement:
-    """Single-generator element on object A.
+def generator_token(kind: str, A, i: int) -> tuple:
+    """The word token of the named generator at i on object A.
 
-    kind: 's', 'e', 'sh', 'eh' or 'y'. The hatted crossings/cap-cups send A
-    to A with entries i, i+1 exchanged; y_i is the identity with one bottom
-    dot on strand i.
+    kind: 's', 'e', 'sh', 'eh' (or 'ŝ', 'ê') or 'y'. s exists where entries
+    i, i+1 of A are equal, the others where they differ; the hatted
+    crossings/cap-cups send A to A with entries i, i+1 exchanged.
     """
     kind = {"ŝ": "sh", "ê": "eh"}.get(kind, kind)
-    A = orseq(A)
     n = len(A)
     if kind == "y":
         if not 1 <= i <= n:
             raise ValueError(f"y index {i} out of range")
-        gamma = tuple(1 if j == i else 0 for j in range(1, n + 1))
-        return DecoratedElement.from_monomial(Monomial(identity_diagram(A), gamma))
+        return ("y", i)
+    if kind not in ("s", "sh", "e", "eh"):
+        raise ValueError(f"unknown generator kind {kind!r}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range")
-    eq = A[i - 1] == A[i]
-    if kind == "s" and not eq:
+    if (kind == "s") != (A[i - 1] == A[i]):
         raise ValueError("generator does not exist for this object")
-    if kind in ("sh", "e", "eh") and eq:
-        raise ValueError("generator does not exist for this object")
-    tok = ("c", i) if kind in ("s", "sh") else (kind, i)
+    return ("c", i) if kind in ("s", "sh") else (kind, i)
+
+
+def generator(kind: str, A, i: int) -> DecoratedElement:
+    """Single-generator element on object A (kinds as in generator_token);
+    y_i is the identity with one bottom dot on strand i."""
+    A = orseq(A)
+    tok = generator_token(kind, A, i)
+    if tok[0] == "y":
+        gamma = tuple(1 if j == i else 0 for j in range(1, len(A) + 1))
+        return DecoratedElement.from_monomial(Monomial(identity_diagram(A), gamma))
     return DecoratedElement.from_monomial(Monomial(token_diagram(tok, A)))
 
 

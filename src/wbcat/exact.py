@@ -4,6 +4,11 @@ Everything downstream computes over Q. Polynomials live in y_1..y_k with
 dense fixed-length exponent vectors as dict keys; series are truncated
 expansions in u^{-1} whose coefficients are such polynomials. No floats
 anywhere.
+
+Sparse exact linear combinations are summed here and only here: lincomb is
+the kernel behind every sum of the rewriting engine's elements and of the
+gl_N oracle's vectors, and clean normalizes an accumulator that a caller
+summed in place. MultiPoly keeps its own Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +35,46 @@ def num(x):
         return x
     x = rat(x)
     return x.numerator if x.denominator == 1 else x
+
+
+# ---------------------------------------------------------------------------
+# The linear-combination kernel. A sparse combination is a dict key ->
+# nonzero coefficient, an int when integral and a Fraction otherwise.
+
+
+def lincomb(parts) -> dict:
+    """sum c * terms over the (c, terms) in parts, as one fresh clean dict.
+    The first nonzero part seeds it as a copy (which keeps the keys' stored
+    hashes); no part is modified, so parts may be shared (memoized)."""
+    acc = {}
+    for c, terms in parts:
+        if c.__class__ is not int:
+            c = num(c)
+        if not c:
+            continue
+        if not acc:
+            acc = dict(terms) if c == 1 else {k: c * v for k, v in terms.items()}
+            get = acc.get
+        elif c == 1:
+            for k, v in terms.items():
+                acc[k] = get(k, 0) + v
+        else:
+            for k, v in terms.items():
+                acc[k] = get(k, 0) + c * v
+    return clean(acc)
+
+
+def clean(acc: dict) -> dict:
+    """Normalize an accumulator in place and return it: zero coefficients
+    are dropped and an integral Fraction becomes an int; a float raises
+    TypeError. Only the entries that need it are touched."""
+    for k in [k for k, v in acc.items() if not v or v.__class__ is not int]:
+        v = num(acc[k])
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
 
 
 class MultiPoly:
@@ -208,6 +253,11 @@ class MultiPoly:
 
 _TOKEN_RE = re.compile(r"\s*(y\d+|\d+(?:/\d+)?|\^|\*|\+|-|\(|\))")
 
+# Largest total degree poly_parse builds. The cost of what the CLI does with
+# a polynomial grows fast with it: `center-test` on 8 strands with all 495
+# monomials of degree <= 4 takes about 1.6 s, at degree 5 about 4 s.
+MAX_POLY_DEGREE = 4
+
 
 def poly_parse(text: str, nvars: int) -> MultiPoly:
     """Parse the tiny polynomial grammar.
@@ -217,6 +267,9 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
     factor = atom ("^" integer)? ;
     atom   = rational | variable | "(" expr ")" | "-" atom ;
     rational = digits ("/" digits)? ;  variable = "y" digits ;
+
+    An exponent above MAX_POLY_DEGREE, and a product or power whose total
+    degree would exceed it, are refused before they are computed.
     """
     tokens = []
     pos = 0
@@ -255,6 +308,10 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
             return MultiPoly.var(nvars, int(t[1:]))
         return MultiPoly.const(nvars, Fraction(t))
 
+    def bounded(degree: int):
+        if degree > MAX_POLY_DEGREE:
+            raise ValueError(f"polynomial degree or exponent above {MAX_POLY_DEGREE}")
+
     def factor() -> MultiPoly:
         p = atom()
         if peek() == "^":
@@ -263,6 +320,7 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
             n = int(e)
+            bounded(max(n, n * p.total_degree()))  # a constant's power costs n products
             out = MultiPoly.const(nvars, 1)
             for _ in range(n):
                 out = out * p
@@ -273,7 +331,9 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
         p = factor()
         while peek() == "*":
             take()
-            p = p * factor()
+            q = factor()
+            bounded(p.total_degree() + q.total_degree())
+            p = p * q
         return p
 
     def expr() -> MultiPoly:

@@ -28,7 +28,8 @@ Between the module and a slot it is read from a second cached table
 (_module_slot): for one slot value and one PBW monomial, every new slot
 value d with the module action that goes with it, already signed. A dot
 y_i adds all of its Omega terms into one accumulator seeded with (N/2)v
-and cleans it once (see _clean).
+and cleans it once (exact.clean). Every other sum of vectors is one call of
+exact.lincomb, the kernel shared with the rewriting engine.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -45,11 +46,12 @@ from itertools import combinations_with_replacement, product
 from .diagrams import (
     DecoratedElement,
     cyclotomic_monomials,
+    generator_token,
     orseq,
     swap_seq,
     word_for_monomial,
 )
-from .exact import num, rref, sparse_rank
+from .exact import clean, lincomb, rref, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,6 @@ class GlContext:
         return cls("parabolic", m + n, m, n, delta)
 
 
-def _clean(acc: dict) -> dict:
-    """Drop the zero coefficients of an accumulator; a Fraction that has
-    become integral turns back into an int."""
-    return {k: c if c.__class__ is int else num(c) for k, c in acc.items() if c}
-
-
 @lru_cache(maxsize=None)
 def _module_action(m: int, delta: int, a: int, b: int, mu: tuple):
     """E_ab acting on x^mu z in the parabolic module: ((coeff, mu'), ...)
@@ -96,17 +92,13 @@ def _module_action(m: int, delta: int, a: int, b: int, mu: tuple):
         return ()
     (i, j) = mu[0]
     rest = mu[1:]
-    acc = {}
-    for c, nu in _module_action(m, delta, a, b, rest):
-        nu = tuple(sorted(nu + ((i, j),)))
-        acc[nu] = acc.get(nu, 0) + c
+    on_rest = _module_action(m, delta, a, b, rest)
+    parts = [(1, {tuple(sorted(nu + ((i, j),))): c for c, nu in on_rest})]
     if b == i:
-        for c, nu in _module_action(m, delta, a, j, rest):
-            acc[nu] = acc.get(nu, 0) + c
+        parts.append((1, {nu: c for c, nu in _module_action(m, delta, a, j, rest)}))
     if j == a:
-        for c, nu in _module_action(m, delta, i, b, rest):
-            acc[nu] = acc.get(nu, 0) - c
-    return tuple((c, nu) for nu, c in acc.items() if c)
+        parts.append((-1, {nu: c for c, nu in _module_action(m, delta, i, b, rest)}))
+    return tuple((c, nu) for nu, c in lincomb(parts).items())
 
 
 def _slot_E(up: bool, a: int, b: int, e: int):
@@ -145,7 +137,7 @@ def _module_slot(N: int, m: int, delta: int, up: bool, c: int, mu: tuple):
 
 
 def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
-    """A ModuleVector over terms that are already clean (see _clean)."""
+    """A ModuleVector over terms that are already clean (exact.clean)."""
     v = ModuleVector.__new__(ModuleVector)
     v.ctx, v.A, v.terms = ctx, A, terms
     return v
@@ -153,14 +145,15 @@ def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
 
 class ModuleVector:
     """Exact vector in M (x) V^{(x)A}: keys (mu, slots) -> nonzero int, or
-    Fraction when the coefficient is not integral."""
+    Fraction when the coefficient is not integral. Sums go through the
+    kernel exact.lincomb."""
 
     __slots__ = ("ctx", "A", "terms")
 
     def __init__(self, ctx: GlContext, A, terms=None):
         self.ctx = ctx
         self.A = orseq(A)
-        self.terms = _clean({k: num(c) for k, c in terms.items()}) if terms else {}
+        self.terms = lincomb(((1, terms or {}),))
 
     @classmethod
     def basis_vector(cls, ctx, A, slots, mu=()) -> "ModuleVector":
@@ -181,26 +174,18 @@ class ModuleVector:
         return Fraction(self.terms.get((tuple(sorted(mu)), tuple(slots)), 0))
 
     def __add__(self, other) -> "ModuleVector":
-        if self.A != other.A:
-            raise ValueError("object mismatch")
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            s = get(k, 0) + c
-            if s:
-                out[k] = s if s.__class__ is int else num(s)
-            else:
-                del out[k]
-        return _vector(self.ctx, self.A, out)
+        return self._plus(1, other)
 
     def __sub__(self, other) -> "ModuleVector":
-        return self + other.scale(-1)
+        return self._plus(-1, other)
+
+    def _plus(self, c, other) -> "ModuleVector":
+        if other.A != self.A:
+            raise ValueError("object mismatch")
+        return _vector(self.ctx, self.A, lincomb(((1, self.terms), (c, other.terms))))
 
     def scale(self, c) -> "ModuleVector":
-        c = num(c)
-        return _vector(
-            self.ctx, self.A, _clean({k: c * x for k, x in self.terms.items()}) if c else {}
-        )
+        return _vector(self.ctx, self.A, lincomb(((c, self.terms),)))
 
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
@@ -241,15 +226,13 @@ def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
             if hit:
                 key = (mu, slots[: pos - 1] + (hit[0],) + slots[pos:])
                 acc[key] = acc.get(key, 0) + hit[1] * coeff
-    return _vector(ctx, v.A, _clean(acc))
+    return _vector(ctx, v.A, clean(acc))
 
 
 def apply_E(ctx, a: int, b: int, v: ModuleVector) -> ModuleVector:
     """Coproduct action of E_ab on the whole tensor product."""
-    out = zero_vector(ctx, v.A)
-    for pos in range(len(v.A) + 1):
-        out = out + apply_E_at(ctx, a, b, v, pos)
-    return out
+    parts = [(1, apply_E_at(ctx, a, b, v, pos).terms) for pos in range(len(v.A) + 1)]
+    return _vector(ctx, v.A, lincomb(parts))
 
 
 def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
@@ -257,7 +240,7 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
 
     With `acc`, a dict of terms (mu, slots) -> coefficient over the same
     object, the terms of Omega_{jk} v are added into it and None is
-    returned; the caller cleans it (see _clean)."""
+    returned; the caller cleans it (exact.clean)."""
     if j > k:
         j, k = k, j
     if j == k or k == 0:
@@ -285,7 +268,7 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
                 ns[j - 1], ns[k - 1] = e2, c2
                 key = (mu, tuple(ns))
                 acc[key] = get(key, 0) + sgn * coeff
-    return _vector(ctx, v.A, _clean(acc)) if own else None
+    return _vector(ctx, v.A, clean(acc)) if own else None
 
 
 def y_apply(v: ModuleVector, i: int) -> ModuleVector:
@@ -297,7 +280,7 @@ def y_apply(v: ModuleVector, i: int) -> ModuleVector:
     acc = {key: half * c for key, c in v.terms.items()}
     for k in range(i):
         omega_pair(v, k, i, acc)
-    return _vector(v.ctx, v.A, _clean(acc))
+    return _vector(v.ctx, v.A, clean(acc))
 
 
 def apply_token(tok, v: ModuleVector) -> ModuleVector:
@@ -329,7 +312,7 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
             for d in range(1, ctx.N + 1):
                 key = (mu, head + (d, d) + tail)
                 acc[key] = get(key, 0) + c
-        return _vector(ctx, newA, _clean(acc))
+        return _vector(ctx, newA, clean(acc))
     raise ValueError(f"unknown token {tok!r}")
 
 
@@ -340,26 +323,17 @@ def apply_word(word, v: ModuleVector) -> ModuleVector:
 
 
 def apply_generator(kind: str, i: int, v: ModuleVector) -> ModuleVector:
-    """Named generator (s/e/sh/eh/y) with orientation preconditions."""
-    kind = {"ŝ": "sh", "ê": "eh"}.get(kind, kind)
-    A = v.A
-    if kind == "y":
-        return y_apply(v, i)
-    eq = A[i - 1] == A[i]
-    if (kind == "s" and not eq) or (kind in ("sh", "e", "eh") and eq):
-        raise ValueError("generator does not exist for this object")
-    tok = ("c", i) if kind in ("s", "sh") else (kind, i)
-    return apply_token(tok, v)
+    """Named generator (s/e/sh/eh/y) with orientation preconditions, as in
+    diagrams.generator_token."""
+    return apply_token(generator_token(kind, v.A, i), v)
 
 
 def represent(x: DecoratedElement, v: ModuleVector) -> ModuleVector:
     """Push a decorated element through its generator word."""
     if x.bottom != v.A:
         raise ValueError("boundary mismatch")
-    out = zero_vector(v.ctx, x.top)
-    for m, c in x.terms.items():
-        out = out + apply_word(word_for_monomial(m), v).scale(c)
-    return out
+    parts = [(c, apply_word(word_for_monomial(m), v).terms) for m, c in x.terms.items()]
+    return _vector(v.ctx, x.top, lincomb(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -425,59 +399,32 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
     """Monic minimal polynomial of y_1 on the degree <= 2 part of M (x) V^{or}.
 
     Returned as a coefficient tuple, lowest degree first, last entry 1.
+    Degree d = 1, then 2: solve y^d v = -sum_{j<d} c_j y^j v on every
+    coordinate of every test vector v, one row [y^0 v .. y^{d-1} v | -y^d v]
+    per key, accepted when the reduced left block is the identity.
     """
     if ctx.kind != "parabolic":
         raise ValueError("minimal polynomial probe needs the parabolic module")
-    A = (orientation,)
     data = []
-    for v in spanning_vectors(ctx, A, max_deg=2):
+    for v in spanning_vectors(ctx, (orientation,), max_deg=2):
         v1 = y_apply(v, 1)
-        v2 = y_apply(v1, 1)
-        data.append((v, v1, v2))
-
-    # degree 1: y v = -c0 v for a single constant c0
-    c0 = None
-    ok = True
-    for v, v1, _ in data:
-        keys = set(v.terms) | set(v1.terms)
-        for key in keys:
-            a = v.terms.get(key, 0)
-            b = v1.terms.get(key, 0)
-            if a == 0:
-                if b != 0:
-                    ok = False
-                continue
-            ratio = Fraction(-b) / a
-            if c0 is None:
-                c0 = ratio
-            elif c0 != ratio:
-                ok = False
-        if not ok:
-            break
-    if ok and c0 is not None:
-        return (c0, Fraction(1))
-
-    # degree 2: v2 + c1 v1 + c0 v = 0
-    rows = []
-    for v, v1, v2 in data:
-        keys = set(v.terms) | set(v1.terms) | set(v2.terms)
-        for key in keys:
-            rows.append(
-                [
-                    v.terms.get(key, 0),
-                    v1.terms.get(key, 0),
-                    -v2.terms.get(key, 0),
-                ]
-            )
-    sol = rref(rows)
-    if len(sol) != 2 or sol[0][:2] != [1, 0] or sol[1][:2] != [0, 1]:
-        raise ArithmeticError("no monic quadratic annihilates the test span")
-    c0, c1 = sol[0][2], sol[1][2]
-    # verify: the system was overdetermined, residual must vanish
-    for v, v1, v2 in data:
-        if not (v2 + v1.scale(c1) + v.scale(c0)).is_zero():
-            raise ArithmeticError("quadratic solution fails on a test vector")
-    return (c0, c1, Fraction(1))
+        data.append((v, v1, y_apply(v1, 1)))
+    for d in (1, 2):
+        rows = [
+            [w.terms.get(key, 0) for w in ws[:d]] + [-ws[d].terms.get(key, 0)]
+            for ws in data
+            for key in set().union(*(w.terms for w in ws[: d + 1]))
+        ]
+        sol = rref(rows)
+        if [r[:d] for r in sol] != [[int(i == j) for j in range(d)] for i in range(d)]:
+            continue
+        cs = [r[d] for r in sol]
+        # the system is overdetermined: the residual must vanish everywhere
+        for ws in data:
+            if lincomb([(1, ws[d].terms)] + [(c, w.terms) for c, w in zip(cs, ws)]):
+                raise ArithmeticError(f"degree-{d} solution fails on a test vector")
+        return (*cs, Fraction(1))
+    raise ArithmeticError("no monic quadratic annihilates the test span")
 
 
 def levi_inputs(m: int, N: int, k: int):

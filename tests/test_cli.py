@@ -57,12 +57,24 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
         ("omega", "--k", "-1", "--m", "1", "--n", "1", "--delta", "0"),
         ("wseries", "--seq", "1,1,-1", "--i", "2", "--k", "65", "--m", "2", "--n", "2", "--delta", "0"),
         ("dim", "--seq", ",".join(["1"] * 9), "--m", "9", "--n", "9", "--delta", "0"),
+        ("qcancel", "--poly", "y4000000", "--pair", "1,2"),
+        ("center-test", "--poly", "y9", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0"),
+        ("qcancel", "--poly", "y1", "--pair", "1,100000000"),
+        ("qcancel", "--poly", "y1", "--pair", "0,1"),
+        ("qcancel", "--poly", "y1^3000000", "--pair", "1,2"),
+        ("qcancel", "--poly", "2^100000000", "--pair", "1,2"),
+        ("qcancel", "--poly", "(y1+y2)^2*(y1-y2)^3", "--pair", "1,2"),
+        ("center-basis", "--seq", "1,-1,1", "--max-deg", "40", "--m", "3", "--n", "3", "--delta", "0"),
+        ("center-basis", "--seq", "1,-1", "--max-deg", "-1", "--m", "2", "--n", "2", "--delta", "0"),
     ],
-    ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length"],
+    ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length", "poly-variable",
+         "center-test-variable", "pair", "pair-zero", "poly-power", "constant-power",
+         "poly-product", "max-deg", "max-deg-negative"],
 )
 def test_oversized_input_is_an_engine_error(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     assert code == 1 and out == "" and "error" in json.loads(err)
+    assert "Traceback" not in err
 
 
 def test_size_bounds_admit_the_largest_inputs(capsys):
@@ -70,6 +82,10 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
     assert code == 0 and out == '{"dim":10321920}\n'
     code, out, _ = run_main(capsys, "omega", "--k", "10000", "--m", "1", "--n", "1", "--delta", "0")
     assert code == 0 and out == '{"omega":"2"}\n'
+    code, out, _ = run_main(capsys, "qcancel", "--poly", "(y1+y8)^2*(y1+y8)^2", "--pair", "1,8")
+    assert code == 0 and out == '{"result":true}\n'
+    code, out, _ = run_main(capsys, "center-basis", "--seq", "1,-1", "--max-deg", "3", "--m", "2", "--n", "2", "--delta", "0")
+    assert code == 0 and len(json.loads(out)["basis"]) == 7
 
 
 def test_omega_prints_values_past_the_int_digit_limit(capsys):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from wbcat.diagrams import (
     word_for_diagram,
     word_for_monomial,
 )
+from wbcat.exact import lincomb
+from wbcat.glrep import GlContext, ModuleVector, zero_vector
 
 
 def cupcap(A=(1, -1)):
@@ -211,13 +214,31 @@ def test_lincomb_matches_the_reference_sum(A, data):
     # each element once more with the opposite coefficient of its first use
     parts += [(-c, x) for c, x in parts[: data.draw(st.integers(0, 2))]]
     before = [dict(x.terms) for _, x in parts]
+    want = _reference_sum(parts)
     got = DecoratedElement.lincomb(A, A, parts)
-    assert got.terms == _reference_sum(parts)
-    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    # the same sum in the kernel itself, and in gl_N module vectors through
+    # +, - and scale, each pool monomial standing for one basis key
+    kernel = lincomb([(c, x.terms) for c, x in parts])
+    ctx = GlContext.trivial(3)
+    key = dict(zip(pool, (((), slots) for slots in product((1, 2, 3), repeat=len(A)))))
+    vec = {id(x): ModuleVector(ctx, A, {key[m]: c for m, c in x.terms.items()}) for _, x in parts}
+    vec_before = {i: dict(v.terms) for i, v in vec.items()}
+    total = zero_vector(ctx, A)
+    for n, (c, x) in enumerate(parts):
+        total = total + vec[id(x)].scale(c) if n % 2 else total - vec[id(x)].scale(-c)
+    assert got.terms == kernel == want
+    assert total.terms == {key[m]: v for m, v in want.items()}
+    for terms in (got.terms, kernel, total.terms):
+        assert all(type(c) is int or c.denominator != 1 for c in terms.values())
     assert [x.terms for _, x in parts] == before  # no part changed
+    assert {i: v.terms for i, v in vec.items()} == vec_before
     assert all(got.terms is not x.terms for _, x in parts)
     with pytest.raises(ValueError, match="boundary"):
         DecoratedElement.lincomb(A, A, parts + [(1, DecoratedElement.unit((A[1], A[0]) + A[2:]))])
+    other = ModuleVector.basis_vector(ctx, (A[1], A[0]) + A[2:], (1,) * len(A))
+    for op in (ModuleVector.__add__, ModuleVector.__sub__):
+        with pytest.raises(ValueError, match="object mismatch"):
+            op(total, other)
 
 
 def test_lincomb_cancels_to_the_zero_element():
@@ -227,3 +248,20 @@ def test_lincomb_cancels_to_the_zero_element():
     assert zero.is_zero() and zero.terms == {} and (zero.bottom, zero.top) == (A, A)
     assert (x - x).terms == {} and x.scale(0).terms == {}
     assert [type(c) for c in x.scale(2).terms.values()] == [int, int]
+    assert lincomb([(2, x.terms), (Fraction(-4, 2), x.terms)]) == {}
+    ctx = GlContext.trivial(2)
+    v = ModuleVector(ctx, A, {((), (1, 1)): 1, ((), (2, 1)): Fraction(-1, 2)})
+    assert (v - v).is_zero() and (v + v.scale(-1)).terms == {} and v.scale(0).terms == {}
+    assert [type(c) for c in v.scale(2).terms.values()] == [int, int]
+    assert ModuleVector(ctx, A, {((), (1, 1)): Fraction(4, 2)}).terms == {((), (1, 1)): 2}
+    # floats are not exact: every entry point refuses them
+    for bad in (
+        lambda: x.scale(0.5),
+        lambda: zero.scale(0.5),
+        lambda: DecoratedElement.lincomb(A, A, [(1.5, x)]),
+        lambda: lincomb([(1, {"k": 0.5})]),
+        lambda: v.scale(0.5),
+        lambda: ModuleVector(ctx, A, {((), (1, 1)): 0.5}),
+    ):
+        with pytest.raises(TypeError):
+            bad()
