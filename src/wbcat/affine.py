@@ -415,16 +415,14 @@ def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     if not bad_bottom and not bad_top:
         return DecoratedElement.from_monomial(m)
     gamma, eta = list(m.gamma), list(m.eta)
-    strip_b = {i: gamma[i - 1] for i in bad_bottom}
-    strip_t = {i: eta[i - 1] for i in bad_top}
     for i in bad_bottom:
         gamma[i - 1] = 0
     for i in bad_top:
         eta[i - 1] = 0
-    word = [("y", i) for i, k in strip_t.items() for _ in range(k)]
+    word = [("y", i) for i in bad_top for _ in range(m.eta[i - 1])]
     el = apply_word(word, DecoratedElement.from_monomial(Monomial(D, gamma, eta)), omega)
-    for i, k in strip_b.items():
-        for _ in range(k):
+    for i in bad_bottom:
+        for _ in range(m.gamma[i - 1]):
             parts = [(c, push_dot_bottom(i, mm, omega)) for mm, c in el.terms.items()]
             el = DecoratedElement.lincomb(D.bottom, D.top, parts)
     return el

@@ -219,8 +219,7 @@ def poly_element(x: MultiPoly, A) -> DecoratedElement:
         raise ValueError("polynomial has more variables than strands")
     D = identity_diagram(A)
     pad = (0,) * (len(A) - x.nvars)
-    parts = [(c, DecoratedElement.from_monomial(Monomial(D, e + pad))) for e, c in x.coeffs.items()]
-    return DecoratedElement.lincomb(A, A, parts)
+    return DecoratedElement(A, A, {Monomial(D, e + pad): c for e, c in x.coeffs.items()})
 
 
 def _substitute(exp: tuple, i: int, j: int):

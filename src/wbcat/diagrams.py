@@ -389,9 +389,11 @@ class DecoratedElement:
         """sum c * x over the (c, x) in parts, every x going bottom -> top
         (orientation tuples), summed by the kernel exact.lincomb: no part is
         modified, so parts may be shared (memoized) elements."""
-        pairs = [(c, x.terms) for c, x in parts if x.bottom == bottom and x.top == top]
-        if len(pairs) != len(parts):
-            raise ValueError("boundary mismatch")
+        pairs = []
+        for c, x in parts:
+            if x.bottom != bottom or x.top != top:
+                raise ValueError("boundary mismatch")
+            pairs.append((c, x.terms))
         el = cls.__new__(cls)
         el.bottom, el.top, el.terms = bottom, top, exact.lincomb(pairs)
         return el

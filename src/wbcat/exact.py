@@ -5,10 +5,10 @@ dense fixed-length exponent vectors as dict keys; series are truncated
 expansions in u^{-1} whose coefficients are such polynomials. No floats
 anywhere.
 
-Sparse exact linear combinations are summed here and only here: lincomb is
-the kernel behind every sum of the rewriting engine's elements and of the
-gl_N oracle's vectors, and clean normalizes an accumulator that a caller
-summed in place. MultiPoly keeps its own Fraction arithmetic.
+lincomb sums the rewriting engine's elements and the gl_N oracle's vectors;
+clean normalizes an accumulator that a caller summed in place. Elimination
+(sparse_rank), cyclotomic.cyclo_reduce (which drops cancelled terms as it
+goes) and MultiPoly (Fraction coefficients) keep their own loops.
 """
 
 from __future__ import annotations
@@ -67,7 +67,13 @@ def lincomb(parts) -> dict:
 def clean(acc: dict) -> dict:
     """Normalize an accumulator in place and return it: zero coefficients
     are dropped and an integral Fraction becomes an int; a float raises
-    TypeError. Only the entries that need it are touched."""
+    TypeError. Only the entries that need it are touched, and a plain loop
+    settles the common case of nonzero ints at little constant cost."""
+    for v in acc.values():
+        if not v or v.__class__ is not int:
+            break
+    else:
+        return acc
     for k in [k for k, v in acc.items() if not v or v.__class__ is not int]:
         v = num(acc[k])
         if v:
@@ -308,10 +314,6 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
             return MultiPoly.var(nvars, int(t[1:]))
         return MultiPoly.const(nvars, Fraction(t))
 
-    def bounded(degree: int):
-        if degree > MAX_POLY_DEGREE:
-            raise ValueError(f"polynomial degree or exponent above {MAX_POLY_DEGREE}")
-
     def factor() -> MultiPoly:
         p = atom()
         if peek() == "^":
@@ -320,7 +322,8 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
             n = int(e)
-            bounded(max(n, n * p.total_degree()))  # a constant's power costs n products
+            if max(n, n * p.total_degree()) > MAX_POLY_DEGREE:  # n products, even for a constant
+                raise ValueError(f"polynomial exponent or degree above {MAX_POLY_DEGREE}")
             out = MultiPoly.const(nvars, 1)
             for _ in range(n):
                 out = out * p
@@ -332,7 +335,8 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
         while peek() == "*":
             take()
             q = factor()
-            bounded(p.total_degree() + q.total_degree())
+            if p.total_degree() + q.total_degree() > MAX_POLY_DEGREE:
+                raise ValueError(f"polynomial degree above {MAX_POLY_DEGREE}")
             p = p * q
         return p
 

@@ -233,8 +233,10 @@ def test_lincomb_matches_the_reference_sum(A, data):
     assert [x.terms for _, x in parts] == before  # no part changed
     assert {i: v.terms for i, v in vec.items()} == vec_before
     assert all(got.terms is not x.terms for _, x in parts)
-    with pytest.raises(ValueError, match="boundary"):
-        DecoratedElement.lincomb(A, A, parts + [(1, DecoratedElement.unit((A[1], A[0]) + A[2:]))])
+    # other bottom and top, or the same bottom and another top
+    for bad in (DecoratedElement.unit((A[1], A[0]) + A[2:]), generator("eh", A, 1)):
+        with pytest.raises(ValueError, match="boundary"):
+            DecoratedElement.lincomb(A, A, parts + [(1, bad)])
     other = ModuleVector.basis_vector(ctx, (A[1], A[0]) + A[2:], (1,) * len(A))
     for op in (ModuleVector.__add__, ModuleVector.__sub__):
         with pytest.raises(ValueError, match="object mismatch"):
