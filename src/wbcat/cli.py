@@ -18,9 +18,12 @@ Conventions
   (w_k is a polynomial whose size grows with k). A polynomial's variables
   y_i and `qcancel --pair` lie in 1..MAX_STRANDS, its degree is at most
   exact.MAX_POLY_DEGREE = 4, and `center-basis --max-deg` lies in
-  0..MAX_CENTER_DEG = 3 (the dense elimination over every monomial of that
-  degree on 8 strands takes about 2 s). The commands that enumerate the
-  basis grow like 2^k k! in the number k of strands;
+  0..MAX_CENTER_DEG = 3 (every monomial of that degree on 8 strands, about
+  0.15 s). `faithfulness` ranks over (m+n)^k tensor inputs, so there
+  --m + --n is at most MAX_RANK_N = 8, and `verify-s8 --max-deg` lies in
+  0..MAX_S8_DEG = 4 (the spanning set grows with that degree). The
+  commands that enumerate the basis grow like 2^k k! in the number k of
+  strands;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
   (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
   only span, and the size is printed as "spanning" next to
@@ -57,6 +60,8 @@ MAX_STRANDS = 8
 MAX_OMEGA_K = 10_000
 MAX_WSERIES_K = 64
 MAX_CENTER_DEG = 3
+MAX_RANK_N = 8
+MAX_S8_DEG = 4
 
 # generic parameter-free omega values for relation checking (relations hold
 # identically in omega; any point with enough coordinates will do)
@@ -257,6 +262,7 @@ def cmd_verify_relations(args):
 
 def cmd_verify_s8(args):
     A = _parse_seq(args.seq)
+    _check_range("--max-deg", args.max_deg, 0, MAX_S8_DEG)
     if args.N is not None:
         ctx = glrep.GlContext.trivial(args.N)
     elif args.m is not None:
@@ -290,6 +296,7 @@ def cmd_young_enum(args):
 
 def cmd_faithfulness(args):
     A = _parse_seq(args.seq)
+    _check_range("--m + --n", args.m + args.n, 2, MAX_RANK_N)
     p = _params_from(args)
     d = len(cyclotomic.basis(A, p))
     rank = glrep.faithfulness_rank(A, p)

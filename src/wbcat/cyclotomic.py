@@ -304,10 +304,7 @@ def center_basis(A, p: CycloParams, max_deg: int):
             swapped = tuple(swapped)
             if swapped == e:
                 continue
-            row = [Fraction(0)] * len(exps)
-            row[col[e]] += 1
-            row[col[swapped]] -= 1
-            rows.append(row)
+            rows.append({col[e]: 1, col[swapped]: -1})
     pair = next(
         (
             (i, j)
@@ -323,15 +320,10 @@ def center_basis(A, p: CycloParams, max_deg: int):
         for e in exps:
             if hit := _substitute(e, i, j):
                 buckets.setdefault(hit[0], []).append((col[e], hit[1]))
-        for entries in buckets.values():
-            row = [Fraction(0)] * len(exps)
-            for cidx, sgn in entries:
-                row[cidx] += sgn
-            rows.append(row)
-    sols = nullspace(rows, len(exps))
-    out = []
-    for vec in sols:
-        poly = MultiPoly(nv, {exps[k]: c for k, c in enumerate(vec) if c})
-        out.append(poly)
+        rows.extend(dict(entries) for entries in buckets.values())
+    out = [
+        MultiPoly(nv, {exps[k]: c for k, c in vec.items()})
+        for vec in nullspace(rows, len(exps))
+    ]
     out.sort(key=lambda q: (q.total_degree(), sorted(q.coeffs)))
     return out

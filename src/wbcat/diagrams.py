@@ -414,9 +414,6 @@ class DecoratedElement:
     def scale(self, c) -> "DecoratedElement":
         return DecoratedElement.lincomb(self.bottom, self.top, ((c, self),))
 
-    def add_term(self, m: Monomial, c) -> "DecoratedElement":
-        return self + DecoratedElement.from_monomial(m, c)
-
     def __eq__(self, other):
         if isinstance(other, DecoratedElement):
             return (

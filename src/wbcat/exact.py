@@ -6,9 +6,13 @@ expansions in u^{-1} whose coefficients are such polynomials. No floats
 anywhere.
 
 lincomb sums the rewriting engine's elements and the gl_N oracle's vectors;
-clean normalizes an accumulator that a caller summed in place. Elimination
-(sparse_rank), cyclotomic.cyclo_reduce (which drops cancelled terms as it
-goes) and MultiPoly (Fraction coefficients) keep their own loops.
+clean normalizes an accumulator that a caller summed in place.
+cyclotomic.cyclo_reduce (which drops cancelled terms as it goes) and
+MultiPoly (Fraction coefficients) keep their own loops.
+
+Linear algebra is sparse throughout: one fraction-free elimination on int
+rows, _eliminate, is behind sparse_rank, rref and nullspace, which differ
+only in the pivot rule and in rref's back-substitution.
 """
 
 from __future__ import annotations
@@ -205,18 +209,6 @@ class MultiPoly:
         return p
 
     __rmul__ = __mul__
-
-    def evaluate(self, point) -> Fraction:
-        point = [rat(x) for x in point]
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        total = Fraction(0)
-        for exp, c in self.coeffs.items():
-            v = c
-            for x, e in zip(point, exp):
-                v *= x ** e
-            total += v
-        return total
 
     def extend(self, nvars: int) -> "MultiPoly":
         """Reinterpret in a larger variable ring (new trailing variables)."""
@@ -465,43 +457,13 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q: dense row reduction and a sparse rank. Entries
-# may be int or Fraction, never float. The dense routines divide through
-# Fraction; the sparse rank clears denominators once and then eliminates
-# fraction-free on int (Bareiss 1968), dividing out only common factors.
-
-
-def row_echelon(rows):
-    """In-place Gauss-Jordan elimination on dense rows.
-
-    Each pivot row is divided by its pivot and the pivot column is cleared
-    in every other row, so the first `rank` rows end in reduced row echelon
-    form. rows: list of lists of int or Fraction. Returns the rank. Rows are
-    modified.
-    """
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+# Exact linear algebra over Q on sparse rows: dicts column key -> int or
+# Fraction, never float, where zero values are ignored. One fraction-free
+# elimination on int rows (Bareiss 1968), _eliminate, is behind all of it;
+# it divides out only common factors. sparse_rank and rref call it with
+# different pivot rules (docs/decisions.md): the rank with the column of
+# fewest input nonzeros, rref with the leftmost column, which alone gives
+# the canonical pivot columns. Only rref's last step divides by pivots.
 
 
 def _int_row(row) -> dict:
@@ -514,25 +476,19 @@ def _int_row(row) -> dict:
     return row
 
 
-def sparse_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts key -> int or Fraction); zero
-    values are ignored and the input is not modified.
+def _eliminate(rows, pivot) -> dict:
+    """Echelon form of the sparse rows as {pivot key: (p, rest)}, rest being
+    the other entries of the primitive pivot row and p > 0 its entry at the
+    key. The input is not modified.
 
-    Elimination is fraction-free. Each row is scaled to integers, then
-    reduced against every pivot key it contains, pass after pass, until it
-    contains none: with p the pivot row's entry at the key, f the row's and
-    g = gcd(p, f), row <- (p/g) row - (f/g) pivot row. If anything is left,
-    it is divided by the gcd of its entries and stored as a pivot row; its
-    pivot is the key whose column has the fewest nonzeros in the input (ties
-    go to the first such key in the row), a static Markowitz-style rule that
-    keeps the fill-in of the stored pivot rows low.
+    Rows are taken in order. Each is scaled to ints, then reduced against
+    every pivot key it contains, pass after pass, until it contains none:
+    with p the pivot row's entry at the key, f the row's and g = gcd(p, f),
+    row <- (p/g) row - (f/g) pivot row. If anything is left, it is divided
+    by the gcd of its entries and stored with the key pivot(row) as its
+    pivot.
     """
-    colcount = {}
-    for row in rows:
-        for k, v in row.items():
-            if v:
-                colcount[k] = colcount.get(k, 0) + 1
-    pivots = {}  # pivot key -> (its entry p > 0, the rest of the primitive row)
+    pivots = {}
     for row in rows:
         row = _int_row(row)
         hits = [k for k in row if k in pivots]
@@ -556,43 +512,63 @@ def sparse_rank(rows) -> int:
                         del row[k]
             hits = [k for k in row if k in pivots]
         if row:
-            k0 = min(row, key=colcount.__getitem__)
+            k0 = pivot(row)
             c = gcd(*row.values())
             if row[k0] < 0:
                 c = -c
             p = row.pop(k0) // c
             pivots[k0] = (p, {k: v // c for k, v in row.items()} if c != 1 else row)
-    return len(pivots)
+    return pivots
 
 
-def nullspace(rows, ncols):
-    """Nullspace basis of a dense Fraction matrix (list of row lists).
-
-    Returns a list of coefficient vectors (lists of Fraction) spanning
-    {x : rows @ x = 0}, in a deterministic order.
-    """
-    mat = [list(r) for r in rows]
-    rank = row_echelon(mat)
-    mat = mat[:rank]
-    pivot_cols = []
-    for r in mat:
-        for c, v in enumerate(r):
+def sparse_rank(rows) -> int:
+    """Rank of a list of sparse rows. The pivot of a row is the key whose
+    column has the fewest nonzeros in the input (ties go to the first such
+    key in the row), a static Markowitz-style rule that keeps the fill-in of
+    the stored pivot rows low; keys need only be hashable."""
+    colcount = {}
+    for row in rows:
+        for k, v in row.items():
             if v:
-                pivot_cols.append(c)
-                break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in zip(mat, pivot_cols):
-            vec[pc] = -r[fc]
-        basis.append(vec)
-    return basis
+                colcount[k] = colcount.get(k, 0) + 1
+    return len(_eliminate(rows, lambda row: min(row, key=colcount.__getitem__)))
 
 
-def rref(rows):
-    """Reduced row echelon form (new matrix, zero rows dropped)."""
-    mat = [list(r) for r in rows]
-    rank = row_echelon(mat)
-    return mat[:rank]
+def rref(rows) -> list:
+    """The reduced row echelon form of a list of sparse rows with orderable
+    keys: its nonzero rows in ascending pivot column, each a dict whose
+    first key is its pivot column, with entry 1, and whose values are ints
+    where integral.
+
+    The leftmost-pivot echelon form is eliminated once more, fraction-free,
+    from its last row up: each row is then cleared of the pivot columns to
+    its right, and keeps its own pivot as its leftmost key. Only the final
+    division by the pivots makes Fractions."""
+    echelon = _eliminate(rows, min)
+    bottom_up = [{k0: p, **rest} for k0, (p, rest) in sorted(echelon.items(), reverse=True)]
+    return [
+        {k0: 1, **{k: num(Fraction(v, p)) for k, v in rest.items()}}
+        for k0, (p, rest) in sorted(_eliminate(bottom_up, min).items())
+    ]
+
+
+def row_echelon(rows) -> int:
+    """Rank of a list of sparse rows with orderable keys, through rref."""
+    # sparse_rank is the faster rank; this name stays because
+    # perfbench/layertrace.SPANS lists it, and its smoke test fails on a
+    # listed function that is missing.
+    return len(rref(rows))
+
+
+def nullspace(rows, ncols) -> list:
+    """Basis of {x : sum_k row[k] x[k] = 0 for every row} for sparse rows
+    over the columns 0..ncols-1, read off rref: one vector per free column,
+    in ascending order, a dict with 1 at that column and minus the column's
+    entry of each reduced row at that row's pivot column."""
+    reduced = {next(iter(r)): r for r in rref(rows)}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in reduced}
+    for pc, r in reduced.items():
+        for k, v in r.items():
+            if k != pc:
+                basis[k][pc] = -v
+    return list(basis.values())

@@ -411,19 +411,19 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
         data.append((v, v1, y_apply(v1, 1)))
     for d in (1, 2):
         rows = [
-            [w.terms.get(key, 0) for w in ws[:d]] + [-ws[d].terms.get(key, 0)]
+            dict(enumerate([w.terms.get(key, 0) for w in ws[:d]] + [-ws[d].terms.get(key, 0)]))
             for ws in data
             for key in set().union(*(w.terms for w in ws[: d + 1]))
         ]
         sol = rref(rows)
-        if [r[:d] for r in sol] != [[int(i == j) for j in range(d)] for i in range(d)]:
+        if [next(iter(r)) for r in sol] != list(range(d)):  # pivots 0..d-1: the identity
             continue
-        cs = [r[d] for r in sol]
+        cs = [r.get(d, 0) for r in sol]
         # the system is overdetermined: the residual must vanish everywhere
         for ws in data:
             if lincomb([(1, ws[d].terms)] + [(c, w.terms) for c, w in zip(cs, ws)]):
                 raise ArithmeticError(f"degree-{d} solution fails on a test vector")
-        return (*cs, Fraction(1))
+        return (*map(Fraction, cs), Fraction(1))
     raise ArithmeticError("no monic quadratic annihilates the test span")
 
 

@@ -66,10 +66,12 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
         ("qcancel", "--poly", "(y1+y2)^2*(y1-y2)^3", "--pair", "1,2"),
         ("center-basis", "--seq", "1,-1,1", "--max-deg", "40", "--m", "3", "--n", "3", "--delta", "0"),
         ("center-basis", "--seq", "1,-1", "--max-deg", "-1", "--m", "2", "--n", "2", "--delta", "0"),
+        ("faithfulness", "--seq", "1,-1,1", "--m", "60", "--n", "60", "--delta", "0"),
+        ("verify-s8", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0", "--max-deg", "12"),
     ],
     ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length", "poly-variable",
          "center-test-variable", "pair", "pair-zero", "poly-power", "constant-power",
-         "poly-product", "max-deg", "max-deg-negative"],
+         "poly-product", "max-deg", "max-deg-negative", "faithfulness-m-n", "verify-s8-max-deg"],
 )
 def test_oversized_input_is_an_engine_error(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -86,6 +88,20 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
     assert code == 0 and out == '{"result":true}\n'
     code, out, _ = run_main(capsys, "center-basis", "--seq", "1,-1", "--max-deg", "3", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 0 and len(json.loads(out)["basis"]) == 7
+    # every monomial of degree <= 3 on 8 strands, two orderings; bytes pinned
+    for seq, digest, size in (
+        ("1,1,1,1,-1,-1,-1,-1", "fe8122e8215fb78c", 1544),
+        ("1,-1,1,-1,1,-1,1,-1", "7b909a4eb2251312", 1816),
+    ):
+        code, out, _ = run_main(capsys, "center-basis", "--seq", seq, "--max-deg", "3", "--m", "8", "--n", "8", "--delta", "0")
+        assert code == 0 and len(json.loads(out)["basis"]) == 7
+        assert (hashlib.sha256(out.encode()).hexdigest()[:16], len(out.encode())) == (digest, size)
+    code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,-1", "--m", "4", "--n", "4", "--delta", "0")
+    assert code == 0 and out == '{"dim":8,"faithful":true,"rank":8}\n'
+    code, out, _ = run_main(capsys, "verify-s8", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0", "--max-deg", "4")
+    report = json.loads(out)
+    assert code == 0 and report["dots_commute"]["instances"] == 1120
+    assert all(not check["failures"] for check in report.values())
 
 
 def test_omega_prints_values_past_the_int_digit_limit(capsys):

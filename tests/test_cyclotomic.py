@@ -26,7 +26,7 @@ from wbcat.diagrams import (
     identity_monomial,
     orseq,
 )
-from wbcat.exact import MultiPoly, poly_parse, row_echelon
+from wbcat.exact import MultiPoly, poly_parse, sparse_rank
 
 
 def test_params_values():
@@ -222,11 +222,11 @@ def test_center_basis_examples():
     # span contains 1 and y1 + y2
     targets = [MultiPoly.const(2, 1), poly_parse("y1+y2", 2)]
     exps = sorted({e for q in got + targets for e in q.coeffs})
-    rows = [[q.coeffs.get(e, F(0)) for e in exps] for q in got]
-    rank0 = row_echelon([r[:] for r in rows])
+    rows = [dict(enumerate(q.coeffs.get(e, F(0)) for e in exps)) for q in got]
+    rank0 = sparse_rank(rows)
     for tgt in targets:
-        aug = rows + [[tgt.coeffs.get(e, F(0)) for e in exps]]
-        assert row_echelon(aug) == rank0
+        aug = rows + [dict(enumerate(tgt.coeffs.get(e, F(0)) for e in exps))]
+        assert sparse_rank(aug) == rank0
 
 
 def test_center_basis_pure_row_case():
@@ -258,19 +258,18 @@ def test_central_set_equals_q_cancellation_set():
         comms.append(blocks)
     keys = sorted(keys, key=lambda m: m.sort_key())
     rows = [
-        [comms[ci][gi].get(k, F(0)) for ci in range(len(exps))]
+        {ci: comms[ci][gi].get(k, F(0)) for ci in range(len(exps))}
         for gi in range(len(gens))
         for k in keys
     ]
     central = nullspace(rows, len(exps))
     qc_rows = [
-        [F((-1) ** e[1]) if sum(e) == k else F(0) for e in exps]
+        {ci: F((-1) ** e[1]) for ci, e in enumerate(exps) if sum(e) == k}
         for k in (1, 2, 3)
     ]
     qcspace = nullspace(qc_rows, len(exps))
     assert len(central) == len(qcspace) == 7
-    union = [list(v) for v in central] + [list(v) for v in qcspace]
-    assert row_echelon(union) == 7
+    assert sparse_rank(central + qcspace) == 7
 
 
 def test_kernel_polynomials_not_central_at_poly_level():

@@ -164,7 +164,7 @@ def test_json_roundtrip():
         assert diagram_from_json(json.loads(json.dumps(diagram_to_json(D)))) == D
     m = Monomial(cupcap(), (0, 1), (1, 0))
     assert monomial_from_json(monomial_to_json(m)) == m
-    el = DecoratedElement.from_monomial(m, "3/2").add_term(
+    el = DecoratedElement.from_monomial(m, "3/2") + DecoratedElement.from_monomial(
         Monomial(identity_diagram((1, -1))), -2
     )
     assert element_from_json(element_to_json(el)) == el

@@ -35,7 +35,7 @@ def test_poly_basic_ops():
 def test_poly_scale_and_eval():
     y1 = MultiPoly.var(1, 1)
     p = y1 * y1 + y1.scale(F(1, 2)) - 3
-    assert p.evaluate([F(2)]) == 4 + 1 - 3
+    assert p == MultiPoly(1, {(2,): 1, (1,): F(1, 2), (0,): -3})
 
 
 def test_poly_str_roundtrip_via_parser():
@@ -134,7 +134,27 @@ def test_row_echelon_rank():
         [F(2), F(4), F(6)],
         [F(0), F(1), F(1)],
     ]
-    assert row_echelon(rows) == 2
+    assert row_echelon([dict(enumerate(r)) for r in rows]) == 2
+
+
+def _dense_rref(rows):
+    """Reference: Gauss-Jordan on dense rows, kept independent of the
+    package. The nonzero rows of the reduced row echelon form, as Fractions."""
+    rows = [[F(x) for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        rows = [[a - r[col] * b for a, b in zip(r, piv)] for r in rows]
+        out = [[a - r[col] * b for a, b in zip(r, piv)] for r in out] + [piv]
+    return out
+
+
+def _dense(rows, keys):
+    return [[r.get(k, 0) for k in keys] for r in rows]
 
 
 def _check_sparse_rank(rows_sparse):
@@ -143,8 +163,29 @@ def _check_sparse_rank(rows_sparse):
     rank = sparse_rank(rows_sparse)
     assert rows_sparse == before
     assert [list(r) for r in rows_sparse] == [list(r) for r in before]
-    assert rank == row_echelon([[F(r.get(k, 0)) for k in keys] for r in rows_sparse])
+    assert rank == len(_dense_rref(_dense(rows_sparse, keys)))
     return rank
+
+
+def _check_rref_and_nullspace(rows, ncols):
+    keys = range(ncols)
+    before = [dict(r) for r in rows]
+    reduced = rref(rows)
+    assert rows == before
+    assert _dense(reduced, keys) == _dense_rref(_dense(rows, keys))
+    pivots = [next(iter(r)) for r in reduced]
+    assert pivots == sorted(set(pivots))
+    for r, pc in zip(reduced, pivots):
+        assert r[pc] == 1
+        assert all(v and (type(v) is int or v.denominator != 1) for v in r.values())
+        assert not set(pivots) & set(r) - {pc}  # pivot columns are zero elsewhere
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - sparse_rank(rows)
+    free = [c for c in keys if c not in pivots]
+    assert [sorted(set(v) & set(free)) for v in basis] == [[c] for c in free]
+    assert all(v[c] == 1 for v, c in zip(basis, free))
+    for v in basis:
+        assert all(sum(x * v.get(k, 0) for k, x in r.items()) == 0 for r in rows)
 
 
 def test_sparse_rank_matches_dense():
@@ -267,26 +308,25 @@ def test_sparse_rank_property(rows, combos):
             a, b = rows[i % len(rows)], rows[j % len(rows)]
             rows.append({k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)})
     _check_sparse_rank(rows)
+    _check_rref_and_nullspace(rows, 6)
 
 
 def test_integer_rows_stay_exact():
     # determinant -1; a float division (1 / 10**17) rounds it to rank 1
-    rows = [[10**17, 10**17 + 1], [10**17 + 1, 10**17 + 2]]
-    assert sparse_rank([dict(enumerate(r)) for r in rows]) == 2
-    dense = [list(r) for r in rows]
-    assert row_echelon(dense) == 2
+    rows = [dict(enumerate(r)) for r in ([10**17, 10**17 + 1], [10**17 + 1, 10**17 + 2])]
+    assert sparse_rank(rows) == 2
+    assert row_echelon(rows) == 2
     reduced = rref(rows)
-    assert reduced == [[1, 0], [0, 1]]
-    for mat in (dense, reduced):
-        assert all(isinstance(x, (int, F)) for r in mat for x in r)
+    assert reduced == [{0: 1}, {1: 1}]
+    assert all(type(x) is int for r in reduced for x in r.values())
 
 
 def test_nullspace():
-    rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
-    basis = nullspace(rows, 3)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + v[1] == 0 and v[2] == 0 and any(v)
+    rows = [{0: F(1), 1: F(1), 2: F(0)}, {2: F(1)}]
+    assert nullspace(rows, 3) == [{1: 1, 0: -1}]
+    # a zero matrix leaves every column free; rows over fewer columns too
+    assert nullspace([], 2) == nullspace([{}], 2) == [{0: 1}, {1: 1}]
+    assert nullspace([{1: F(1, 2), 3: 2}], 4) == [{0: 1}, {2: 1}, {3: 1, 1: -4}]
 
 
 def test_num_is_exact_and_keeps_integral_values_as_int():

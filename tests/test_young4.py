@@ -249,7 +249,7 @@ def test_spectral_calculus_matches_representation():
                 for m, e in zip(mats, pr)
             ]
             stacked = _matpow(shifted[0], K) + _matpow(shifted[1], K)
-            dim = len(nullspace(stacked, K))
+            dim = len(nullspace([dict(enumerate(r)) for r in stacked], K))
             if dim:
                 obs[pr] = dim
         assert pred == obs, nu
