@@ -19,9 +19,17 @@ Conventions
   y_i and `qcancel --pair` lie in 1..MAX_STRANDS, its degree is at most
   exact.MAX_POLY_DEGREE = 4, and `center-basis --max-deg` lies in
   0..MAX_CENTER_DEG = 3 (every monomial of that degree on 8 strands, about
-  0.15 s). `faithfulness` ranks over (m+n)^k tensor inputs, so there
-  --m + --n is at most MAX_RANK_N = 8, and `verify-s8 --max-deg` lies in
-  0..MAX_S8_DEG = 4 (the spanning set grows with that degree). The
+  0.15 s). `faithfulness` ranks the 2^k k! monomials on one tensor input
+  per Levi orbit and, when that falls short of full rank, on all (m+n)^k
+  inputs. So there --m + --n is at most MAX_RANK_N = 8, --seq has at most
+  MAX_RANK_STRANDS = 4 entries, and (m+n)^k is at most MAX_RANK_INPUTS =
+  512 unless the basis hypotheses hold, when one input per orbit is
+  expected to give full rank. Per process: 3 strands at m + n = 8 take
+  under 1 s, 4 strands at m + n = 4 up to about 7 s (at m + n = 5, 15-45 s),
+  and (4,4,delta), the one 4-strand case inside the hypotheses, about
+  4.5-6 s. `verify-s8 --max-deg` lies in 0..MAX_S8_DEG = 4 (the spanning
+  set grows with that degree). A --poly text has at most MAX_POLY_CHARS =
+  2000 characters (parsing costs up to about 0.6 ms per character). The
   commands that enumerate the basis grow like 2^k k! in the number k of
   strands;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
@@ -61,7 +69,10 @@ MAX_OMEGA_K = 10_000
 MAX_WSERIES_K = 64
 MAX_CENTER_DEG = 3
 MAX_RANK_N = 8
+MAX_RANK_STRANDS = 4
+MAX_RANK_INPUTS = 512
 MAX_S8_DEG = 4
+MAX_POLY_CHARS = 2000
 
 # generic parameter-free omega values for relation checking (relations hold
 # identically in omega; any point with enough coordinates will do)
@@ -100,6 +111,8 @@ def _load_json_arg(text):
 
 
 def _poly_arg(text, nvars_min=0):
+    if len(text) > MAX_POLY_CHARS:
+        raise ValueError(f"polynomial text longer than {MAX_POLY_CHARS} characters")
     indices = [int(s[1:]) for s in re.findall(r"y\d+", text)]
     for i in indices:
         _check_range("a variable index", i, 1, MAX_STRANDS)
@@ -297,7 +310,15 @@ def cmd_young_enum(args):
 def cmd_faithfulness(args):
     A = _parse_seq(args.seq)
     _check_range("--m + --n", args.m + args.n, 2, MAX_RANK_N)
+    if len(A) > MAX_RANK_STRANDS:
+        raise ValueError(f"faithfulness takes at most {MAX_RANK_STRANDS} strands")
     p = _params_from(args)
+    # the rank may visit every one of the (m+n)^k inputs unless the basis
+    # hypotheses hold, when one input per Levi orbit is expected to do
+    if (args.m + args.n) ** len(A) > MAX_RANK_INPUTS and not cyclotomic.basis_hypotheses(A, p):
+        raise ValueError(
+            f"(m+n)^k above {MAX_RANK_INPUTS} tensor inputs outside the basis hypotheses"
+        )
     d = len(cyclotomic.basis(A, p))
     rank = glrep.faithfulness_rank(A, p)
     out = _size_fields(A, p, d)

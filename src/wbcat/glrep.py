@@ -322,6 +322,33 @@ def apply_word(word, v: ModuleVector) -> ModuleVector:
     return v
 
 
+def word_trie(words):
+    """Prefix trie of token words: a node is (indices of the words that end
+    there, {token: child node}); the root stands for the empty word."""
+    root = ([], {})
+    for i, word in enumerate(words):
+        node = root
+        for tok in word:
+            node = node[1].setdefault(tok, ([], {}))
+        node[0].append(i)
+    return root
+
+
+def apply_trie(trie, v: ModuleVector):
+    """Yield (i, apply_word(words[i], v)) for every word of
+    word_trie(words), depth first: each prefix is applied once, and one
+    vector is held per depth."""
+
+    def walk(node, w):
+        ends, children = node
+        for i in ends:
+            yield i, w
+        for tok, child in children.items():
+            yield from walk(child, apply_token(tok, w))
+
+    return walk(trie, v)
+
+
 def apply_generator(kind: str, i: int, v: ModuleVector) -> ModuleVector:
     """Named generator (s/e/sh/eh/y) with orientation preconditions, as in
     diagrams.generator_token."""
@@ -459,18 +486,29 @@ def faithfulness_rank(A, params) -> int:
     answer. Otherwise the remaining inputs are added to the same rows and
     the whole matrix is ranked. Why the first pass is expected to suffice:
     docs/decisions.md.
+
+    The basis words share most of their prefixes, so each input goes
+    through their word_trie once (apply_trie). On the first input every
+    image is also computed by represent, the one-element path, and a
+    mismatch raises ArithmeticError.
     """
     A = orseq(A)
     ctx = GlContext.parabolic(params.m, params.n, params.delta)
-    elements = [DecoratedElement.from_monomial(mono) for mono in cyclotomic_monomials(A)]
-    rows = [{} for _ in elements]
+    monos = cyclotomic_monomials(A)
+    trie = word_trie([word_for_monomial(mono) for mono in monos])
+    rows = [{} for _ in monos]
     cols = {}
+    first = True
     for inputs in levi_inputs(ctx.m, ctx.N, len(A)):
         for beta in inputs:
             v = ModuleVector.basis_vector(ctx, A, beta)
-            for el, row in zip(elements, rows):
-                for key, c in represent(el, v).terms.items():
+            for i, w in apply_trie(trie, v):
+                if first and represent(DecoratedElement.from_monomial(monos[i]), v) != w:
+                    raise ArithmeticError(f"prefix walk and represent differ on row {i}")
+                row = rows[i]
+                for key, c in w.terms.items():
                     row[cols.setdefault((beta, key), len(cols))] = c
+            first = False
         rank = sparse_rank(rows)
         if rank == len(rows):
             break

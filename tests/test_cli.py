@@ -68,10 +68,18 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
         ("center-basis", "--seq", "1,-1", "--max-deg", "-1", "--m", "2", "--n", "2", "--delta", "0"),
         ("faithfulness", "--seq", "1,-1,1", "--m", "60", "--n", "60", "--delta", "0"),
         ("verify-s8", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0", "--max-deg", "12"),
+        ("faithfulness", "--seq", "1,1,-1,-1", "--m", "7", "--n", "1", "--delta", "0"),
+        ("faithfulness", "--seq", "1,1,-1,-1", "--m", "3", "--n", "3", "--delta", "0"),
+        ("faithfulness", "--seq", "1,1,1,-1,-1", "--m", "1", "--n", "1", "--delta", "0"),
+        ("faithfulness", "--seq", "1,1,1,1,-1,-1,-1,-1", "--m", "4", "--n", "4", "--delta", "0"),
+        ("qcancel", "--poly", "+".join(["y1"] * 667) + " ", "--pair", "1,2"),
+        ("center-test", "--poly", "1" + " " * 2000, "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0"),
     ],
     ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length", "poly-variable",
          "center-test-variable", "pair", "pair-zero", "poly-power", "constant-power",
-         "poly-product", "max-deg", "max-deg-negative", "faithfulness-m-n", "verify-s8-max-deg"],
+         "poly-product", "max-deg", "max-deg-negative", "faithfulness-m-n", "verify-s8-max-deg",
+         "faithfulness-4-strands-m-n", "faithfulness-4-strands-unfaithful", "faithfulness-strands",
+         "faithfulness-8-strands", "poly-length", "poly-length-spaces"],
 )
 def test_oversized_input_is_an_engine_error(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -98,6 +106,21 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
         assert (hashlib.sha256(out.encode()).hexdigest()[:16], len(out.encode())) == (digest, size)
     code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,-1", "--m", "4", "--n", "4", "--delta", "0")
     assert code == 0 and out == '{"dim":8,"faithful":true,"rank":8}\n'
+    # every input of 3 strands at m + n = 8; 4 strands at m + n = 4, and at
+    # (4,4,0) under the basis hypotheses
+    with pytest.warns(UserWarning, match="basis hypotheses"):
+        code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1", "--m", "7", "--n", "1", "--delta", "0")
+    assert code == 0 and out == '{"certified":false,"rank":34,"spanning":48}\n'
+    with pytest.warns(UserWarning, match="basis hypotheses"):
+        code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1,-1", "--m", "3", "--n", "1", "--delta", "0")
+    assert code == 0 and out == '{"certified":false,"rank":208,"spanning":384}\n'
+    code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1,-1", "--m", "4", "--n", "4", "--delta", "0")
+    assert code == 0 and out == '{"dim":384,"faithful":true,"rank":384}\n'
+    poly = "+".join(["y1"] * 667)  # 2000 characters
+    code, out, _ = run_main(capsys, "qcancel", "--poly", poly, "--pair", "1,2")
+    assert code == 0 and out == '{"result":false}\n'
+    code, out, _ = run_main(capsys, "center-test", "--poly", "1" + " " * 1999, "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0")
+    assert code == 0 and out == '{"central":true}\n'
     code, out, _ = run_main(capsys, "verify-s8", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0", "--max-deg", "4")
     report = json.loads(out)
     assert code == 0 and report["dots_commute"]["instances"] == 1120

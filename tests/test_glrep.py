@@ -12,6 +12,7 @@ from wbcat.diagrams import (
     cyclotomic_monomials,
     generator,
     token_diagram,
+    word_for_monomial,
 )
 from wbcat.exact import sparse_rank
 from wbcat.glrep import (
@@ -21,6 +22,7 @@ from wbcat.glrep import (
     apply_E_at,
     apply_generator,
     apply_token,
+    apply_trie,
     apply_word,
     extract_omega,
     faithfulness_rank,
@@ -30,6 +32,7 @@ from wbcat.glrep import (
     spanning_vectors,
     u_minus_generators,
     verify_section8,
+    word_trie,
     y1_minimal_poly,
     y_apply,
     zero_vector,
@@ -369,16 +372,79 @@ def test_faithfulness_rank_matches_every_input_reference(A, mnd, rank):
 
 def test_faithfulness_rank_does_not_rely_on_levi_symmetry(monkeypatch):
     # a map that kills every first-of-orbit input commutes with no Levi
-    # permutation; the rank must then come from the other inputs
+    # permutation; the rank must then come from the other inputs. The
+    # prefix walk builds the rows and represent checks them on the first
+    # input, so both are skewed alike.
     A, p = (1, -1), Params(2, 1, 0)
     firsts = set(levi_inputs(2, 3, 2)[0])
 
-    def skewed(el, v):
+    def killed(v):
         ((_, slots),) = v.terms
-        return zero_vector(v.ctx, el.top) if slots in firsts else represent(el, v)
+        return slots in firsts
+
+    def skewed(el, v):
+        return zero_vector(v.ctx, el.top) if killed(v) else represent(el, v)
+
+    def skewed_walk(trie, v):
+        for i, w in apply_trie(trie, v):
+            yield i, zero_vector(v.ctx, w.A) if killed(v) else w
 
     monkeypatch.setattr(glrep, "represent", skewed)
-    assert faithfulness_rank(A, p) == _rank_on_every_input(A, p, skewed) > 0
+    monkeypatch.setattr(glrep, "apply_trie", skewed_walk)
+    rank = faithfulness_rank(A, p)
+    assert rank == _rank_on_every_input(A, p, skewed) > 0
+    assert rank < len(cyclotomic_monomials(A))  # so the second pass ran
+
+
+def test_faithfulness_rank_raises_when_represent_disagrees(monkeypatch):
+    # a planted fault in the one-element path on the first input: the rows
+    # come from the prefix walk, which the check compares against it
+    A, p = (1, -1, -1), Params(3, 3, 0)
+    last = cyclotomic_monomials(A)[-1]
+
+    def faulty(el, v):
+        w = represent(el, v)
+        return w.scale(2) if last in el.terms else w
+
+    monkeypatch.setattr(glrep, "represent", faulty)
+    with pytest.raises(ArithmeticError, match="represent"):
+        faithfulness_rank(A, p)
+
+
+def test_word_trie_shares_prefixes():
+    words = [[], [("c", 1)], [("c", 1), ("y", 1)], [("y", 2)], [("c", 1)]]
+    assert word_trie(words) == (
+        [0],
+        {
+            ("c", 1): ([1, 4], {("y", 1): ([2], {})}),
+            ("y", 2): ([3], {}),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "A, mnd, betas",
+    [
+        ((1, -1), (2, 2, 0), [(1, 1), (1, 3), (4, 2)]),
+        ((1, 1, -1), (3, 3, 0), [(1, 1, 1), (1, 4, 1), (6, 2, 5)]),
+        ((1, -1, -1, 1), (2, 2, 1), [(1, 1, 1, 1), (3, 1, 1, 3)]),
+        ((1, 1, -1, -1), (4, 4, 0), [(1, 2, 2, 1)]),
+    ],
+)
+def test_apply_trie_matches_apply_word(A, mnd, betas):
+    ctx = GlContext.parabolic(*mnd)
+    monos = cyclotomic_monomials(A)
+    words = [word_for_monomial(m) for m in monos]
+    # the identity's empty word, and words that are prefixes of others
+    assert words.count([]) == 1
+    assert any(w and w != u and u[: len(w)] == w for w in words for u in words)
+    trie = word_trie(words)
+    for beta in betas:
+        v = ModuleVector.basis_vector(ctx, A, beta)
+        got = list(apply_trie(trie, v))
+        assert sorted(i for i, _ in got) == list(range(len(words)))
+        for i, w in got:
+            assert w == apply_word(words[i], v), (beta, words[i])
 
 
 def _levi_orbit_count(m, N, k):
