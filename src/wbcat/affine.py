@@ -58,7 +58,6 @@ different objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,7 +74,7 @@ from .diagrams import (
     word_for_diagram,
     word_for_monomial,
 )
-from .exact import LaurentSeries, MultiPoly, rat, series_div, series_negate_u
+from .exact import LaurentSeries, MultiPoly, Record, rat, series_div, series_negate_u
 from .relations import instances as relation_instances
 from .relations import resolve_coeff
 
@@ -103,26 +102,16 @@ def _omega_mn(m: int, n: int, delta: int, k: int) -> Fraction:
     return cur
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
+class OmegaSpec(Record):
     """The parameter sequence omega_k: explicit list, (m,n,delta)-derived,
     or the trivial-module values N (N/2)^k."""
 
-    kind: str
-    values: tuple = ()
-    m: int = 0
-    n: int = 0
-    delta: int = 0
-    N: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    FIELDS = __slots__ = ("kind", "values", "m", "n", "delta", "N")
 
-    def __post_init__(self):
-        # a memo key of tok_mono and the cyclotomic caches: hash it once
-        key = (self.kind, self.values, self.m, self.n, self.delta, self.N)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
+    def __init__(
+        self, kind: str, values: tuple = (), m: int = 0, n: int = 0, delta: int = 0, N: int = 0
+    ):
+        self._freeze(kind, values, m, n, delta, N)
 
     @classmethod
     def from_list(cls, values) -> "OmegaSpec":

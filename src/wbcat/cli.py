@@ -27,11 +27,16 @@ Conventions
   expected to give full rank. Per process: 3 strands at m + n = 8 take
   under 1 s, 4 strands at m + n = 4 up to about 7 s (at m + n = 5, 15-45 s),
   and (4,4,delta), the one 4-strand case inside the hypotheses, about
-  4.5-6 s. `verify-s8 --max-deg` lies in 0..MAX_S8_DEG = 4 (the spanning
-  set grows with that degree). A --poly text has at most MAX_POLY_CHARS =
-  2000 characters (parsing costs up to about 0.6 ms per character). The
-  commands that enumerate the basis grow like 2^k k! in the number k of
-  strands;
+  4.5-6 s. `verify-s8` checks its identities on C(mn+d, d) N^k spanning
+  vectors (N^k on the trivial module) at d = --max-deg in 0..MAX_S8_DEG =
+  4; there N (--N, or --m + --n) lies in 1..MAX_S8_N = 16 and the vector
+  count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 4.3 s per
+  process; 1,-1,1 at (3,3,0), 13 s, is refused). `young-enum` and
+  `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
+  32 take about 5 s and print 10 MB). A --poly text has at most
+  MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
+  character). The commands that enumerate the basis grow like 2^k k! in the
+  number k of strands;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
   (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
   only span, and the size is printed as "spanning" next to
@@ -72,6 +77,9 @@ MAX_RANK_N = 8
 MAX_RANK_STRANDS = 4
 MAX_RANK_INPUTS = 512
 MAX_S8_DEG = 4
+MAX_S8_N = 16
+MAX_S8_WORK = 50_000
+MAX_WALK_MN = 32
 MAX_POLY_CHARS = 2000
 
 # generic parameter-free omega values for relation checking (relations hold
@@ -120,8 +128,14 @@ def _poly_arg(text, nvars_min=0):
     return poly_parse(text, nvars), nvars
 
 
+def _mnd(args):
+    if None in (args.m, args.n, args.delta):
+        raise ValueError("--m, --n and --delta must be given together")
+    return args.m, args.n, args.delta
+
+
 def _params_from(args):
-    return cyclotomic.make_params(args.m, args.n, args.delta)
+    return cyclotomic.make_params(*_mnd(args))
 
 
 def _omega_from(args):
@@ -279,16 +293,28 @@ def cmd_verify_s8(args):
     if args.N is not None:
         ctx = glrep.GlContext.trivial(args.N)
     elif args.m is not None:
-        ctx = glrep.GlContext.parabolic(args.m, args.n, args.delta)
+        ctx = glrep.GlContext.parabolic(*_mnd(args))
     else:
         raise ValueError("verify-s8 needs --N (trivial) or --m/--n/--delta")
+    _check_range("--N (or --m + --n)", ctx.N, 1, MAX_S8_N)
+    # len(glrep.module_monomials(ctx, max_deg)) PBW monomials in m*n symbols
+    # times N^k slot tuples, weighted by k^3 for the identities per vector
+    pbw = math.comb(ctx.m * ctx.n + args.max_deg, args.max_deg)
+    if pbw * ctx.N ** len(A) * len(A) ** 3 > MAX_S8_WORK:
+        raise ValueError(f"spanning set times strands^3 above {MAX_S8_WORK}")
     report = glrep.verify_section8(ctx, A, max_deg=args.max_deg)
     return _emit(report)
 
 
-def cmd_spectrum(args):
+def _walks(args):
     A = _parse_seq(args.seq)
-    seqs = young4.enumerate_Y(A, args.m, args.n, args.delta)
+    for name, value in (("--m", args.m), ("--n", args.n)):
+        _check_range(name, value, 1, MAX_WALK_MN)
+    return young4.enumerate_Y(A, args.m, args.n, args.delta)
+
+
+def cmd_spectrum(args):
+    seqs = _walks(args)
     tuples = sorted(tuple(young4.eigenvalue_tuple(s)) for s in seqs)
     return _emit(
         {"count": len(tuples), "tuples": [[str(v) for v in t] for t in tuples]}
@@ -296,8 +322,7 @@ def cmd_spectrum(args):
 
 
 def cmd_young_enum(args):
-    A = _parse_seq(args.seq)
-    seqs = young4.enumerate_Y(A, args.m, args.n, args.delta)
+    seqs = _walks(args)
     return _emit(
         {
             "count": len(seqs),

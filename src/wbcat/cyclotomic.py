@@ -26,7 +26,6 @@ of positions gives the same value as substituting 0, 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,40 +39,33 @@ from .diagrams import (
     orseq,
     rt_counts,
 )
-from .exact import LaurentSeries, MultiPoly, nullspace, series_div
+from .exact import LaurentSeries, MultiPoly, Record, nullspace, series_div
 
 
 # ---------------------------------------------------------------------------
 # Parameters.
 
 
-@dataclass(frozen=True)
-class CycloParams:
-    m: int
-    n: int
-    delta: int
-    beta1: Fraction = field(init=False)
-    beta2: Fraction = field(init=False)
-    beta1s: Fraction = field(init=False)
-    beta2s: Fraction = field(init=False)
-    omega: OmegaSpec = field(init=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+class CycloParams(Record):
+    # every field after (m, n, delta) follows from them
+    FIELDS = __slots__ = ("m", "n", "delta", "beta1", "beta2", "beta1s", "beta2s", "omega")
+    ARGS = 3
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, delta: int):
+        if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        if self.delta in (self.m, self.n):
+        if delta in (m, n):
             raise ValueError("degenerate eigenvalues: delta must differ from m and n")
-        object.__setattr__(self, "beta1", Fraction(-self.delta) + Fraction(self.m + self.n, 2))
-        object.__setattr__(self, "beta2", Fraction(self.n - self.m, 2))
-        object.__setattr__(self, "beta1s", Fraction(self.m + self.n, 2))
-        object.__setattr__(self, "beta2s", Fraction(self.delta) + Fraction(self.m - self.n, 2))
-        object.__setattr__(self, "omega", OmegaSpec.from_mn_delta(self.m, self.n, self.delta))
-        # every other field follows from (m, n, delta); hash once, not per memo lookup
-        object.__setattr__(self, "_hash", hash((self.m, self.n, self.delta)))
-
-    def __hash__(self):
-        return self._hash
+        self._freeze(
+            m,
+            n,
+            delta,
+            Fraction(-delta) + Fraction(m + n, 2),
+            Fraction(n - m, 2),
+            Fraction(m + n, 2),
+            Fraction(delta) + Fraction(m - n, 2),
+            OmegaSpec.from_mn_delta(m, n, delta),
+        )
 
     def roots(self, orientation: int):
         if orientation == 1:

@@ -41,6 +41,47 @@ def num(x):
     return x.numerator if x.denominator == 1 else x
 
 
+class Record:
+    """Base of the package's frozen value classes (affine.OmegaSpec,
+    cyclotomic.CycloParams, glrep.GlContext). FIELDS names the slots in
+    repr and comparison order; the first ARGS of them (all by default) are
+    the constructor's arguments and fix the rest. _freeze sets them once
+    and keeps their tuple, so equality by value over FIELDS is one tuple
+    comparison, and the hash of the arguments is computed once (the
+    classes are memo keys). No attribute can be assigned afterwards."""
+
+    __slots__ = ("_values", "_hash")
+    FIELDS = ()
+    ARGS = None
+
+    def _freeze(self, *values):
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values[: self.ARGS]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._values))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values[: self.ARGS]
+
+
 # ---------------------------------------------------------------------------
 # The linear-combination kernel. A sparse combination is a dict key ->
 # nonzero coefficient, an int when integral and a Fraction otherwise.

@@ -38,7 +38,6 @@ generator word and must satisfy every defining relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -51,25 +50,23 @@ from .diagrams import (
     swap_seq,
     word_for_monomial,
 )
-from .exact import clean, lincomb, rref, sparse_rank
+from .exact import Record, clean, lincomb, rref, sparse_rank
 
 
-@dataclass(frozen=True)
-class GlContext:
-    kind: str  # 'trivial' | 'parabolic'
-    N: int
-    m: int = 0
-    n: int = 0
-    delta: int = 0
+class GlContext(Record):
+    FIELDS = __slots__ = ("kind", "N", "m", "n", "delta")
 
-    def __post_init__(self):
-        if self.kind not in ("trivial", "parabolic"):
-            raise ValueError(f"unknown module kind {self.kind!r}")
-        if self.kind == "parabolic":
-            if self.m < 1 or self.n < 1:
+    def __init__(self, kind: str, N: int, m: int = 0, n: int = 0, delta: int = 0):
+        if kind not in ("trivial", "parabolic"):
+            raise ValueError(f"unknown module kind {kind!r}")
+        if N < 1:
+            raise ValueError("N must be positive")
+        if kind == "parabolic":
+            if m < 1 or n < 1:
                 raise ValueError("parabolic kind needs m, n >= 1")
-            if self.N != self.m + self.n:
+            if N != m + n:
                 raise ValueError("parabolic kind needs N = m + n")
+        self._freeze(kind, N, m, n, delta)
 
     @classmethod
     def trivial(cls, N: int) -> "GlContext":

@@ -74,12 +74,26 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
         ("faithfulness", "--seq", "1,1,1,1,-1,-1,-1,-1", "--m", "4", "--n", "4", "--delta", "0"),
         ("qcancel", "--poly", "+".join(["y1"] * 667) + " ", "--pair", "1,2"),
         ("center-test", "--poly", "1" + " " * 2000, "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0"),
+        ("verify-s8", "--seq", "1,-1", "--N", "0"),
+        ("verify-s8", "--seq", "1,-1", "--N", "-3"),
+        ("verify-s8", "--seq", "1,-1", "--N", "17"),
+        ("verify-s8", "--seq", "1,-1,1", "--m", "3", "--n", "3", "--delta", "0"),
+        ("verify-s8", "--seq", "1,-1,1,-1,1,-1,1", "--m", "1", "--n", "1", "--delta", "0"),
+        ("verify-s8", "--seq", "1,-1", "--m", "2"),
+        ("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", "--m", "2"),
+        ("young-enum", "--seq", "1,1,1,-1,-1,-1", "--m", "1000", "--n", "1000", "--delta", "0"),
+        ("young-enum", "--seq", "1,-1", "--m", "0", "--n", "2", "--delta", "0"),
+        ("spectrum", "--seq", "1,-1", "--m", "2", "--n", "33", "--delta", "0"),
+        ("spectrum", "--seq", "1,-1", "--m", "2", "--n", "-1", "--delta", "0"),
     ],
     ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length", "poly-variable",
          "center-test-variable", "pair", "pair-zero", "poly-power", "constant-power",
          "poly-product", "max-deg", "max-deg-negative", "faithfulness-m-n", "verify-s8-max-deg",
          "faithfulness-4-strands-m-n", "faithfulness-4-strands-unfaithful", "faithfulness-strands",
-         "faithfulness-8-strands", "poly-length", "poly-length-spaces"],
+         "faithfulness-8-strands", "poly-length", "poly-length-spaces", "verify-s8-N-zero",
+         "verify-s8-N-negative", "verify-s8-N", "verify-s8-3-strands-m-n", "verify-s8-7-strands",
+         "verify-s8-m-alone", "wseries-m-alone", "young-enum-m-n", "young-enum-m-zero", "spectrum-n",
+         "spectrum-n-negative"],
 )
 def test_oversized_input_is_an_engine_error(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -125,6 +139,18 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
     report = json.loads(out)
     assert code == 0 and report["dots_commute"]["instances"] == 1120
     assert all(not check["failures"] for check in report.values())
+    # 3 PBW monomials x 2^6 slot tuples x 6^3 = 41,472 of MAX_S8_WORK = 50,000
+    code, out, _ = run_main(capsys, "verify-s8", "--seq", "1,-1,1,-1,1,-1", "--m", "1", "--n", "1", "--delta", "0")
+    report = json.loads(out)
+    assert code == 0 and report["dots_commute"]["instances"] == 15 * 3 * 2**6
+    assert all(not check["failures"] for check in report.values())
+    code, out, _ = run_main(capsys, "verify-s8", "--seq", "1,-1", "--N", "16")
+    assert code == 0 and all(not check["failures"] for check in json.loads(out).values())
+    # the widest strip on both sides
+    code, out, _ = run_main(capsys, "spectrum", "--seq", "1,-1", "--m", "32", "--n", "32", "--delta", "0")
+    assert code == 0 and json.loads(out)["tuples"][-1] == ["32", "32"]
+    code, out, _ = run_main(capsys, "young-enum", "--seq", "1,-1", "--m", "32", "--n", "32", "--delta", "0")
+    assert code == 0 and json.loads(out)["count"] == 6
 
 
 def test_omega_prints_values_past_the_int_digit_limit(capsys):
