@@ -504,8 +504,8 @@ def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
     Memoized, so one returned element is shared by every caller that asks
     for the same product. No caller mutates an element's `terms`, `bottom`
-    or `top`: `lincomb` (behind `scale`, `+`, `-`) builds new elements,
-    cyclo_reduce edits a copy, and all else only reads. Keep it that way."""
+    or `top`: `lincomb` (behind `scale`, `+`, `-`, and cyclo_reduce) builds
+    new elements, and all else only reads. Keep it that way."""
     kind, i = tok
     if kind == "y":
         return push_dot(i, m, omega)

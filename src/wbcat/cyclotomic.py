@@ -39,7 +39,7 @@ from .diagrams import (
     orseq,
     rt_counts,
 )
-from .exact import LaurentSeries, MultiPoly, Record, nullspace, series_div
+from .exact import LaurentSeries, MultiPoly, Record, lincomb, nullspace, series_div
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +134,72 @@ def _find_stack(m: Monomial):
     return None
 
 
-def cyclo_reduce(x: DecoratedElement, p: CycloParams) -> DecoratedElement:
-    """Normal form with binary dots: affine-reduce, then eliminate dot
-    stacks through the transported quadratic relation until fixpoint."""
-    el = affine_reduce(x, p.omega)
-    # one mutable copy: affine_reduce may hand back a shared element
-    terms = dict(el.terms)
-    while True:
-        target = next(((m, c, s) for m, c in terms.items() if (s := _find_stack(m))), None)
-        if target is None:
-            return DecoratedElement(el.bottom, el.top, terms)
-        m, c, (side, j) = target
-        del terms[m]
-        if side == "b":
-            m1 = Monomial(m.diagram, _drop2(m.gamma, j), m.eta)
-            repl = _quadratic_replacement(m.bottom, j, p)
-            prod = multiply(DecoratedElement.from_monomial(m1), repl, p.omega)
+def _split(terms: dict):
+    """(the terms with a dot stack, as (monomial, coefficient) pairs; a dict
+    of the others)."""
+    stacked, free = [], {}
+    for m, c in terms.items():
+        if _find_stack(m):
+            stacked.append((m, c))
         else:
-            m1 = Monomial(m.diagram, m.gamma, _drop2(m.eta, j))
-            repl = _quadratic_replacement(m.top, j, p)
-            prod = multiply(repl, DecoratedElement.from_monomial(m1), p.omega)
-        for mm, v in prod.terms.items():
-            s = terms.get(mm, 0) + c * v
-            if s:
-                terms[mm] = s
-            else:
-                del terms[mm]
+            free[m] = c
+    return stacked, free
+
+
+@lru_cache(maxsize=None)
+def _elimination(m: Monomial, p: CycloParams) -> list:
+    """[stacked, free] for an affine-reduced monomial m with a dot stack:
+    the _split of m with its first stack replaced once through the
+    quadratic relation. _resolve then folds the normal forms of the stacked
+    terms into it, leaving [[], normal form of m]: the dict is shared by
+    every later caller, so never modify it."""
+    side, j = _find_stack(m)
+    if side == "b":
+        m1 = Monomial(m.diagram, _drop2(m.gamma, j), m.eta)
+        repl = _quadratic_replacement(m.bottom, j, p)
+        prod = multiply(DecoratedElement.from_monomial(m1), repl, p.omega)
+    else:
+        m1 = Monomial(m.diagram, m.gamma, _drop2(m.eta, j))
+        repl = _quadratic_replacement(m.top, j, p)
+        prod = multiply(repl, DecoratedElement.from_monomial(m1), p.omega)
+    return list(_split(prod.terms))
+
+
+def _fold(stacked, free: dict, p: CycloParams) -> dict:
+    """free + sum c * (normal form of m) over the (m, c) in stacked, as a
+    fresh dict; every m must be resolved."""
+    return lincomb([(1, free), *((c, _elimination(m, p)[1]) for m, c in stacked)])
+
+
+def _resolve(ms, p: CycloParams) -> None:
+    """Bring the normal form of every stacked monomial in ms into the cache
+    of _elimination.
+
+    Every elimination strictly lowers the dot degree, so the stacked terms
+    reachable from ms form a finite acyclic graph. It is walked from an
+    explicit worklist, each node resolved after the nodes it needs: a chain
+    is as long as the dot count, too long for Python recursion."""
+    todo = list(ms)
+    while todo:
+        cell = _elimination(todo[-1], p)
+        waiting = [m for m, _ in cell[0] if _elimination(m, p)[0]]
+        if waiting:
+            todo += waiting
+            continue
+        if cell[0]:
+            cell[:] = [], _fold(*cell, p)
+        todo.pop()
+
+
+def cyclo_reduce(x: DecoratedElement, p: CycloParams) -> DecoratedElement:
+    """Normal form with binary dots: affine-reduce, then replace each term
+    with a dot stack by its memoized normal form. Eliminating a stack is a
+    fixed linear rule of the monomial, so the sum equals rewriting to a
+    fixpoint in any order; the result is a fresh element."""
+    el = affine_reduce(x, p.omega)
+    stacked, free = _split(el.terms)
+    _resolve([m for m, _ in stacked], p)
+    return DecoratedElement(el.bottom, el.top, _fold(stacked, free, p))
 
 
 def _drop2(vec, j):

@@ -5,10 +5,10 @@ dense fixed-length exponent vectors as dict keys; series are truncated
 expansions in u^{-1} whose coefficients are such polynomials. No floats
 anywhere.
 
-lincomb sums the rewriting engine's elements and the gl_N oracle's vectors;
-clean normalizes an accumulator that a caller summed in place.
-cyclotomic.cyclo_reduce (which drops cancelled terms as it goes) and
-MultiPoly (Fraction coefficients) keep their own loops.
+lincomb sums the rewriting engine's elements, including the level-two
+normal forms, and the gl_N oracle's vectors; clean normalizes an
+accumulator that a caller summed in place. MultiPoly (Fraction
+coefficients) keeps its own loops.
 
 Linear algebra is sparse throughout: one fraction-free elimination on int
 rows, _eliminate, is behind sparse_rank, rref and nullspace, which differ

@@ -50,6 +50,13 @@ def _profile_violation(b, m, n):
     return None
 
 
+def _keeps_admissible(b, k, new, m, n) -> bool:
+    """True iff the admissible profile b stays admissible with column k
+    (0-based) set to new: only k's neighbours in its block can break it."""
+    lo, hi = (0, m) if k < m else (m, m + n)
+    return (k == lo or b[k - 1] >= new) and (k + 1 == hi or new >= b[k + 1])
+
+
 class FourYoung:
     """Admissible column profile b in Z^{m+n} with its strip parameters."""
 
@@ -66,6 +73,13 @@ class FourYoung:
         self.n = n
         self.delta = delta
         self.b = b
+
+    @classmethod
+    def _trusted(cls, m, n, delta, b) -> "FourYoung":
+        """A profile already known to be an admissible tuple of ints."""
+        Y = cls.__new__(cls)
+        Y.m, Y.n, Y.delta, Y.b = m, n, delta, b
+        return Y
 
     @property
     def weight(self):
@@ -119,24 +133,16 @@ def boxes(Y: FourYoung, mode: str):
     for i in range(1, m + n + 1):
         bi = b[i - 1]
         if mode == "addable_above":
-            if bi < 0:
-                continue
-            new, content = bi + 1, _content_above(i, bi + 1, m, n)
+            if bi >= 0 and _keeps_admissible(b, i - 1, bi + 1, m, n):
+                out.append((i, _content_above(i, bi + 1, m, n)))
         elif mode == "removable_above":
-            if bi <= 0:
-                continue
-            new, content = bi - 1, _content_above(i, bi, m, n)
+            if bi > 0 and _keeps_admissible(b, i - 1, bi - 1, m, n):
+                out.append((i, _content_above(i, bi, m, n)))
         elif mode == "addable_below":
-            if bi > 0:
-                continue
-            new, content = bi - 1, _content_below(i, 1 - bi, m, n)
-        else:
-            if bi >= 0:
-                continue
-            new, content = bi + 1, _content_below(i, -bi, m, n)
-        cand = b[: i - 1] + (new,) + b[i:]
-        if _profile_violation(cand, m, n) is None:
-            out.append((i, content))
+            if bi <= 0 and _keeps_admissible(b, i - 1, bi - 1, m, n):
+                out.append((i, _content_below(i, 1 - bi, m, n)))
+        elif bi < 0 and _keeps_admissible(b, i - 1, bi + 1, m, n):
+            out.append((i, _content_below(i, -bi, m, n)))
     return out
 
 
@@ -205,7 +211,7 @@ def enumerate_Y(A, m, n, delta):
             walks.append(FourYoungSeq(A, diagrams, steps))
             return
         for action, col, content, newb in _step_options(diagrams[-1], A[k]):
-            Y = FourYoung(m, n, delta, newb)
+            Y = FourYoung._trusted(m, n, delta, newb)
             rec(diagrams + [Y], steps + [(action, col, content)])
 
     rec([start], [])

@@ -1,10 +1,16 @@
+import hashlib
+import inspect
+import json
 import random
+import sys
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from wbcat.affine import OmegaSpec, multiply
+import wbcat
+from wbcat import cli, cyclotomic
+from wbcat.affine import OmegaSpec, multiply, reduce as affine_reduce
 from wbcat.cyclotomic import (
     CycloParams,
     basis,
@@ -295,3 +301,72 @@ def test_poly_element_round_trip():
     assert el.degree() == 2 and len(el.terms) == 2
     gens = endomorphism_generators(A)
     assert len(gens) == 3  # y1, y2, e1
+
+
+def _reduce_stdout(capsys, gamma, eta):
+    mono = {"arcs": [["b1", "t1"], ["b2", "t2"]], "bottom": [1, -1], "top": [1, -1],
+            "gamma": gamma, "eta": eta}
+    el = json.dumps({"bottom": [1, -1], "top": [1, -1], "terms": [{"coeff": "1", "monomial": mono}]})
+    code = cli.main(["reduce", "--m", "2", "--n", "2", "--delta", "0", "--element", el])
+    return code, capsys.readouterr().out
+
+
+def test_reduce_of_a_deep_dot_stack_does_not_recurse(capsys):
+    # 400 dots on each side: a chain of hundreds of stack eliminations,
+    # which must not each take a stack frame, so the call runs 100 frames
+    # deep at most; the digest is that of the rewrite-to-fixpoint loop that
+    # the memoized normal form replaced
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code, out = _reduce_stdout(capsys, [400, 0], [0, 400])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f467277d2d2addc0"
+
+
+@pytest.mark.parametrize(
+    "A, mnd, size, want",
+    [
+        ((1, -1, 1), (3, 3, 0), 3857, "0151b655b130de05"),
+        ((1, 1, -1), (3, 3, 0), 5686, "00bc226568adac07"),
+        # outside the basis hypotheses (m = n = 1 < r + t = 3)
+        ((1, -1, 1), (1, 1, 0), 3825, "8ece6abc37eeabd2"),
+    ],
+)
+def test_structure_constants_are_pinned(A, mnd, size, want):
+    # digests of the tables that the rewrite-to-fixpoint loop produced
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = structure_constants(A, make_params(*mnd))
+    text = json.dumps([[i, j, k, str(c)] for (i, j, k), c in sorted(table.items())])
+    assert len(table) == size
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+
+
+def test_cyclo_reduce_returns_a_fresh_element():
+    # the normal forms of stacked monomials are memoized; no returned
+    # element may share their dicts
+    p = make_params(3, 3, 0)
+    A = orseq((1, -1, 1))
+    y1, y2 = generator("y", A, 1), generator("y", A, 2)
+    tall = multiply(y2, multiply(y2, multiply(y2, generator("e", A, 1), p.omega), p.omega), p.omega)
+    for el in (multiply(y1, y1, p.omega), tall):  # one stacked term, then a mix
+        assert any(m.dots() >= 2 for m in affine_reduce(el, p.omega).terms)
+        first = cyclo_reduce(el, p)
+        want = dict(first.terms)
+        first.terms.clear()
+        second = cyclo_reduce(el, p)
+        assert second.terms == want
+        second.terms[next(iter(second.terms))] += 1
+        assert cyclo_reduce(el, p).terms == want
+
+
+def test_clear_caches_empties_the_normal_form_cache():
+    p = make_params(2, 2, 0)
+    y1 = generator("y", (1, -1), 1)
+    cyclo_reduce(multiply(y1, y1, p.omega), p)
+    assert cyclotomic._elimination.cache_info().currsize > 0
+    wbcat.clear_caches()
+    assert cyclotomic._elimination.cache_info().currsize == 0

@@ -254,3 +254,47 @@ def test_spectral_calculus_matches_representation():
                 obs[pr] = dim
         assert pred == obs, nu
         assert sum(obs.values()) == K, nu
+
+
+def _brute_walks(A, m, n, delta):
+    """Walks as (profiles, steps), each candidate profile checked whole by
+    the validating FourYoung constructor, contents from the module
+    docstring's formulas."""
+    half = F(m + n, 2)
+    walks = [(((-delta,) * m + (0,) * n,), ())]
+    for a in A:
+        nxt = []
+        for profiles, steps in walks:
+            b = profiles[-1]
+            for i in range(1, m + n + 1):
+                cand = b[: i - 1] + (b[i - 1] + a,) + b[i:]
+                try:
+                    FourYoung(m, n, delta, cand)
+                except ValueError:
+                    continue
+                bi = b[i - 1]
+                if a == 1 and bi >= 0:
+                    step = ("add_above", i, bi + 1 - i + half)
+                elif a == 1:
+                    step = ("remove_below", i, -bi + i - 1 - half)
+                elif bi <= 0:
+                    step = ("add_below", i, 1 - bi + i - 1 - half)
+                else:
+                    step = ("remove_above", i, bi - i + half)
+                nxt.append((profiles + (cand,), steps + (step,)))
+        walks = nxt
+    return walks
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (4, 4)])
+def test_walks_match_a_full_profile_filter(m, n):
+    # enumerate_Y checks only the changed column's neighbours in its block
+    for k in range(1, 5):
+        for A in product((1, -1), repeat=k):
+            for delta in (-1, 0, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = enumerate_Y(A, m, n, delta)
+                assert [(tuple(Y.b for Y in s.diagrams), s.steps) for s in got] == _brute_walks(
+                    A, m, n, delta
+                ), (A, m, n, delta)
