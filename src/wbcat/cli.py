@@ -35,8 +35,15 @@ Conventions
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
   32 take about 5 s and print 10 MB). A --poly text has at most
   MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
-  character). The commands that enumerate the basis grow like 2^k k! in the
-  number k of strands;
+  character). `reduce` and `multiply` take elements on at most MAX_STRANDS
+  strands. Their dots, over every term and both operands, number at most
+  MAX_DOTS_ONE_EACH_WAY = 800 on (1), (-1), (1,-1) and (-1,1), and
+  otherwise at most MAX_DOTS[k] on k strands (100 on two down to 4 on
+  eight), since there a high dot stack costs far more (docs/decisions.md).
+  Per process: 400 + 400 dots on (1,-1) take about 5 s at (2,2,0) and 10 s
+  at (2,3,5); 100 dots on strand 2 of (1,1), the costliest placement
+  measured within MAX_DOTS, about 3 s and 8 s. The commands that enumerate
+  the basis grow like 2^k k! in the number k of strands;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
   (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
   only span, and the size is printed as "spanning" next to
@@ -67,7 +74,7 @@ from .diagrams import (
     orseq,
 )
 from .exact import poly_parse
-from .relations import relation_ids
+from .relations import instances, relation_ids
 
 MAX_STRANDS = 8
 MAX_OMEGA_K = 10_000
@@ -81,6 +88,8 @@ MAX_S8_N = 16
 MAX_S8_WORK = 50_000
 MAX_WALK_MN = 32
 MAX_POLY_CHARS = 2000
+MAX_DOTS = {2: 100, 3: 16, 4: 10, 5: 7, 6: 5, 7: 4, 8: 4}  # by strand count
+MAX_DOTS_ONE_EACH_WAY = 800  # on (1), (-1), (1,-1) and (-1,1)
 
 # generic parameter-free omega values for relation checking (relations hold
 # identically in omega; any point with enough coordinates will do)
@@ -160,8 +169,23 @@ def _add_omega_source(sub):
     )
 
 
+def _elements(*texts):
+    """The elements of JSON arguments, refused beyond MAX_STRANDS strands or
+    beyond their dot bound, counted over every term of them all."""
+    els = [element_from_json(_load_json_arg(text)) for text in texts]
+    objects = [obj for el in els for obj in (el.bottom, el.top)]
+    k = max(map(len, objects))
+    if k > MAX_STRANDS:
+        raise ValueError(f"element has more than {MAX_STRANDS} strands")
+    one_each_way = all(len(set(obj)) == len(obj) for obj in objects)
+    bound = MAX_DOTS_ONE_EACH_WAY if one_each_way else MAX_DOTS[k]
+    if sum(m.dots() for el in els for m in el.terms) > bound:
+        raise ValueError(f"more than {bound} dots on {k} strands")
+    return els
+
+
 def cmd_reduce(args):
-    el = element_from_json(_load_json_arg(args.element))
+    (el,) = _elements(args.element)
     if args.affine or args.m is None:
         omega = _omega_from(args)
         if omega is None:
@@ -173,8 +197,7 @@ def cmd_reduce(args):
 
 
 def cmd_multiply(args):
-    x = element_from_json(_load_json_arg(args.x))
-    y = element_from_json(_load_json_arg(args.y))
+    x, y = _elements(args.x, args.y)
     if args.m is not None and not args.affine:
         p = _params_from(args)
         out = cyclotomic.cyclo_reduce(affine.multiply(x, y, p.omega), p)
@@ -276,12 +299,10 @@ def cmd_verify_relations(args):
     omega = _omega_from(args) or _GENERIC_OMEGA
     ok, empty, failed = [], [], []
     for rid in relation_ids():
-        try:
-            holds = affine.check_relation(A, rid, omega)
-        except ValueError:
+        if not instances(rid, A):
             empty.append(rid)
             continue
-        (ok if holds else failed).append(rid)
+        (ok if affine.check_relation(A, rid, omega) else failed).append(rid)
     return _emit(
         {"all_ok": not failed, "empty": sorted(empty), "failed": sorted(failed), "ok": sorted(ok)}
     )

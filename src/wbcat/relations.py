@@ -1,15 +1,19 @@
 """Registry of the defining relations, shared by every computation route.
 
-Each relation id maps to a generator of concrete instances on a given
-object A. An instance is (lhs_word, rhs_terms) with rhs_terms a list of
-(coeff, word); words are generator tokens in application order (first
-applied first), and the claim is  apply(lhs) = sum coeff * apply(word).
+Each relation id maps to concrete instances on a given object A. An
+instance is (lhs_word, rhs_terms) with rhs_terms a list of (coeff, word);
+words are generator tokens in application order (first applied first), and
+the claim is  apply(lhs) = sum coeff * apply(word).
 
 Tokens: ('y', i) dot, ('c', i) crossing (the unique variant legal on the
 object it meets), ('e', i) / ('eh', i) cap-cup keeping / exchanging the
-pair's orientations. Dotted-letter relations hold for every assignment of
-cap-cup variants on both sides whose sources and targets agree; the
-instance generators enumerate exactly those assignments.
+pair's orientations. A relation is written once, as lhs and rhs templates
+over an index family, and `_match` is the one path that expands it: the
+template tokens are y, c, e, eh and ('E', i), which stands for e_i or eh_i,
+and an instance is every reading in which each token is legal on the object
+it meets and all words end on the same object. So dotted-letter relations
+hold for every agreeing assignment of cap-cup variants, and a dot-crossing
+relation finds its plain or hatted crossing by its endpoints alone.
 
 Coefficients are Fractions or the marker ('omega', k), resolved by the
 consumer against its parameter sequence.
@@ -18,282 +22,97 @@ consumer against its parameter sequence.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .diagrams import orseq, swap_seq
 
 OMEGA_KMAX = 3  # dot powers enumerated inside contraction instances
 
 
-def _expand(template, A):
-    """Concrete legal words for a template whose ('E', i) slots mean e or eh.
-
-    Yields (word, top_object).
-    """
-    A = orseq(A)
-    n = len(A)
-    results = []
-
-    def rec(idx, obj, acc):
-        if idx == len(template):
-            results.append((tuple(acc), obj))
-            return
-        kind, i = template[idx]
-        if kind == "y":
-            if 1 <= i <= n:
-                rec(idx + 1, obj, acc + [("y", i)])
-        elif kind == "c":
-            if 1 <= i <= n - 1:
-                rec(idx + 1, swap_seq(obj, i), acc + [("c", i)])
-        elif kind == "E":
-            if 1 <= i <= n - 1 and obj[i - 1] != obj[i]:
-                rec(idx + 1, obj, acc + [("e", i)])
-                rec(idx + 1, swap_seq(obj, i), acc + [("eh", i)])
-        elif kind == "e":
-            if 1 <= i <= n - 1 and obj[i - 1] != obj[i]:
-                rec(idx + 1, obj, acc + [("e", i)])
-        else:
-            raise ValueError(f"bad template token {kind!r}")
-
-    rec(0, A, [])
-    return results
-
-
-def _match(lhs_t, rhs_t, A, coeff=Fraction(1)):
-    """All endpoint-matched (lhs, [(coeff, rhs)]) instance pairs."""
-    out = []
-    for lw, ltop in _expand(lhs_t, A):
-        for rw, rtop in _expand(rhs_t, A):
-            if ltop == rtop:
-                out.append((list(lw), [(coeff, list(rw))]))
-    return out
-
-
-def _cross_positions(A):
-    return range(1, len(A))
-
-
-def _cross_invol(A):
-    return [([("c", i), ("c", i)], [(Fraction(1), [])]) for i in _cross_positions(A)]
-
-
-def _cross_far_comm(A):
-    out = []
-    for i in _cross_positions(A):
-        for j in _cross_positions(A):
-            if j - i > 1:
-                out.append(
-                    ([("c", i), ("c", j)], [(Fraction(1), [("c", j), ("c", i)])])
-                )
-    return out
-
-
-def _braid(A):
-    return [
-        (
-            [("c", i), ("c", i + 1), ("c", i)],
-            [(Fraction(1), [("c", i + 1), ("c", i), ("c", i + 1)])],
-        )
-        for i in range(1, len(A) - 1)
-    ]
-
-
-def _cross_y_far(A):
-    out = []
-    for i in _cross_positions(A):
-        for j in range(1, len(A) + 1):
-            if j not in (i, i + 1):
-                out.append(
-                    ([("y", j), ("c", i)], [(Fraction(1), [("c", i), ("y", j)])])
-                )
-    return out
-
-
-def _cap_sq(A):
-    out = []
-    for i in _cross_positions(A):
-        out.extend(_match([("e", i), ("e", i)], [("e", i)], A, ("omega", 0)))
-    return out
-
-
-def _capcup_loop(A):
-    out = []
-    for i in _cross_positions(A):
-        out.extend(_match([("E", i), ("E", i)], [("E", i)], A, ("omega", 0)))
-    return out
-
-
-def _cap_y_cap(A):
-    A = orseq(A)
-    if len(A) < 2 or A[0] != 1 or A[1] != -1:
+def _readings(kind, i, obj):
+    """(word token, object above it) for each legal reading of a template token."""
+    if kind == "y":
+        return [(("y", i), obj)] if 1 <= i <= len(obj) else []
+    if not 1 <= i < len(obj):
         return []
+    if kind == "c":
+        return [(("c", i), swap_seq(obj, i))]
+    if obj[i - 1] == obj[i]:
+        return []  # a cap-cup joins opposite orientations only
+    readings = [(("e", i), obj)] if kind in ("e", "E") else []
+    if kind in ("eh", "E"):
+        readings.append((("eh", i), swap_seq(obj, i)))
+    return readings
+
+
+def _expand(template, A):
+    """Every legal word for a template on A, as (word, top object)."""
+    words = [((), A)]
+    for kind, i in template:
+        words = [(w + (tok,), top) for w, obj in words for tok, top in _readings(kind, i, obj)]
+    return words
+
+
+def _match(lhs, rhs, A):
+    """All (lhs word, [(coeff, rhs word)]) readings whose words end on one object."""
     out = []
-    for k in range(OMEGA_KMAX + 1):
-        lhs = [("e", 1)] + [("y", 1)] * k + [("e", 1)]
-        out.append((lhs, [(("omega", k), [("e", 1)])]))
+    readings = list(product(*(_expand(t, A) for _, t in rhs)))
+    for lw, top in _expand(lhs, A):
+        for words in readings:
+            if all(t == top for _, t in words):
+                out.append((list(lw), [(k, list(w)) for (k, _), (w, _) in zip(rhs, words)]))
     return out
 
 
-def _cross_cap_far(A):
-    out = []
-    for i in _cross_positions(A):
-        for j in _cross_positions(A):
-            if abs(i - j) > 1:
-                out.extend(_match([("E", j), ("c", i)], [("c", i), ("E", j)], A))
-    return out
+def _token(kind):
+    return lambda i: (kind, i)
 
 
-def _cap_cap_far(A):
-    out = []
-    for i in _cross_positions(A):
-        for j in _cross_positions(A):
-            if j - i > 1:
-                out.extend(_match([("E", i), ("E", j)], [("E", j), ("E", i)], A))
-    return out
+y, c, e, eh, E = map(_token, ("y", "c", "e", "eh", "E"))  # template tokens
+ONE, MINUS, LOOP = Fraction(1), Fraction(-1), ("omega", 0)
 
+# index families, each a function of the object A
+_AT = lambda A: [(i,) for i in range(1, len(A))]  # position i
+_AT2 = lambda A: [(i,) for i in range(1, len(A) - 1)]  # positions i, i + 1
+_FAR = lambda A: [(i, j) for i in range(1, len(A)) for j in range(i + 2, len(A))]  # j > i + 1
+_APART = lambda A: [(i, j) for i, j in product(range(1, len(A)), repeat=2) if abs(i - j) > 1]
+_OFF = lambda A: [  # position i, strand j off it
+    (i, j) for i in range(1, len(A)) for j in range(1, len(A) + 1) if j not in (i, i + 1)
+]
+_DOTS = lambda A: [(i, j) for i in range(1, len(A) + 1) for j in range(i + 1, len(A) + 1)]
+_POWERS = lambda A: [(k,) for k in range(OMEGA_KMAX + 1)] if A[:2] == (1, -1) else []
 
-def _cap_y_far(A):
-    out = []
-    for i in _cross_positions(A):
-        for j in range(1, len(A) + 1):
-            if j not in (i, i + 1):
-                out.extend(_match([("y", j), ("E", i)], [("E", i), ("y", j)], A))
-    return out
-
-
-def _y_comm(A):
-    n = len(A)
-    return [
-        ([("y", i), ("y", j)], [(Fraction(1), [("y", j), ("y", i)])])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-
-
-def _cross_absorb(A):
-    out = []
-    for i in _cross_positions(A):
-        out.extend(_match([("E", i), ("c", i)], [("E", i)], A))
-        out.extend(_match([("c", i), ("E", i)], [("E", i)], A))
-    return out
-
-
-def _slide_a(A):
-    out = []
-    for i in range(1, len(A) - 1):
-        out.extend(
-            _match([("E", i), ("E", i + 1), ("c", i)], [("E", i), ("c", i + 1)], A)
-        )
-        out.extend(
-            _match([("c", i), ("E", i + 1), ("E", i)], [("c", i + 1), ("E", i)], A)
-        )
-    return out
-
-
-def _slide_b(A):
-    out = []
-    for i in range(1, len(A) - 1):
-        out.extend(
-            _match([("c", i + 1), ("E", i), ("E", i + 1)], [("c", i), ("E", i + 1)], A)
-        )
-        out.extend(
-            _match([("E", i + 1), ("E", i), ("c", i + 1)], [("E", i + 1), ("c", i)], A)
-        )
-    return out
-
-
-def _cap_shrink(A):
-    out = []
-    for i in range(1, len(A) - 1):
-        out.extend(
-            _match([("E", i + 1), ("E", i), ("E", i + 1)], [("E", i + 1)], A)
-        )
-        out.extend(_match([("E", i), ("E", i + 1), ("E", i)], [("E", i)], A))
-    return out
-
-
-def _dot_cross(A):
-    A = orseq(A)
-    out = []
-    for i in _cross_positions(A):
-        if A[i - 1] != A[i]:
-            continue  # plain crossing only
-        # s_i y_i = y_{i+1} s_i - 1  and  s_i y_{i+1} = y_i s_i + 1
-        out.append(
-            (
-                [("y", i), ("c", i)],
-                [(Fraction(1), [("c", i), ("y", i + 1)]), (Fraction(-1), [])],
-            )
-        )
-        out.append(
-            (
-                [("y", i + 1), ("c", i)],
-                [(Fraction(1), [("c", i), ("y", i)]), (Fraction(1), [])],
-            )
-        )
-    return out
-
-
-def _dot_cross_hat(A):
-    A = orseq(A)
-    out = []
-    for i in _cross_positions(A):
-        if A[i - 1] == A[i]:
-            continue  # hatted crossing only
-        # sh_i y_i = y_{i+1} sh_i + eh_i  and  sh_i y_{i+1} = y_i sh_i - eh_i
-        out.append(
-            (
-                [("y", i), ("c", i)],
-                [(Fraction(1), [("c", i), ("y", i + 1)]), (Fraction(1), [("eh", i)])],
-            )
-        )
-        out.append(
-            (
-                [("y", i + 1), ("c", i)],
-                [(Fraction(1), [("c", i), ("y", i)]), (Fraction(-1), [("eh", i)])],
-            )
-        )
-    return out
-
-
-def _cap_kills_sum_above(A):
-    # edot_i (y_i + y_{i+1}) = 0, i.e. edot_i y_i = -edot_i y_{i+1}
-    out = []
-    for i in _cross_positions(A):
-        out.extend(
-            _match([("y", i), ("E", i)], [("y", i + 1), ("E", i)], A, Fraction(-1))
-        )
-    return out
-
-
-def _cap_kills_sum_below(A):
-    out = []
-    for i in _cross_positions(A):
-        out.extend(
-            _match([("E", i), ("y", i)], [("E", i), ("y", i + 1)], A, Fraction(-1))
-        )
-    return out
-
-
+# relation id -> (index family, indices -> [(lhs template, [(coeff, rhs template)])])
 RELATIONS = {
-    "cross_invol": _cross_invol,
-    "cross_far_comm": _cross_far_comm,
-    "braid": _braid,
-    "cross_y_far": _cross_y_far,
-    "cap_sq": _cap_sq,
-    "capcup_loop": _capcup_loop,
-    "cap_y_cap": _cap_y_cap,
-    "cross_cap_far": _cross_cap_far,
-    "cap_cap_far": _cap_cap_far,
-    "cap_y_far": _cap_y_far,
-    "y_comm": _y_comm,
-    "cross_absorb": _cross_absorb,
-    "slide_a": _slide_a,
-    "slide_b": _slide_b,
-    "cap_shrink": _cap_shrink,
-    "dot_cross": _dot_cross,
-    "dot_cross_hat": _dot_cross_hat,
-    "cap_kills_sum_above": _cap_kills_sum_above,
-    "cap_kills_sum_below": _cap_kills_sum_below,
+    "cross_invol": (_AT, lambda i: [([c(i), c(i)], [(ONE, [])])]),
+    "cross_far_comm": (_FAR, lambda i, j: [([c(i), c(j)], [(ONE, [c(j), c(i)])])]),
+    "braid": (_AT2, lambda i: [([c(i), c(i + 1), c(i)], [(ONE, [c(i + 1), c(i), c(i + 1)])])]),
+    "cross_y_far": (_OFF, lambda i, j: [([y(j), c(i)], [(ONE, [c(i), y(j)])])]),
+    "cap_sq": (_AT, lambda i: [([e(i), e(i)], [(LOOP, [e(i)])])]),
+    "capcup_loop": (_AT, lambda i: [([E(i), E(i)], [(LOOP, [E(i)])])]),
+    # e_1 is also legal on (-1, 1), where this contraction does not hold
+    "cap_y_cap": (_POWERS, lambda k: [([e(1)] + [y(1)] * k + [e(1)], [(("omega", k), [e(1)])])]),
+    "cross_cap_far": (_APART, lambda i, j: [([E(j), c(i)], [(ONE, [c(i), E(j)])])]),
+    "cap_cap_far": (_FAR, lambda i, j: [([E(i), E(j)], [(ONE, [E(j), E(i)])])]),
+    "cap_y_far": (_OFF, lambda i, j: [([y(j), E(i)], [(ONE, [E(i), y(j)])])]),
+    "y_comm": (_DOTS, lambda i, j: [([y(i), y(j)], [(ONE, [y(j), y(i)])])]),
+    "cross_absorb": (_AT, lambda i: [([E(i), c(i)], [(ONE, [E(i)])]),
+                                     ([c(i), E(i)], [(ONE, [E(i)])])]),
+    "slide_a": (_AT2, lambda i: [([E(i), E(i + 1), c(i)], [(ONE, [E(i), c(i + 1)])]),
+                                 ([c(i), E(i + 1), E(i)], [(ONE, [c(i + 1), E(i)])])]),
+    "slide_b": (_AT2, lambda i: [([c(i + 1), E(i), E(i + 1)], [(ONE, [c(i), E(i + 1)])]),
+                                 ([E(i + 1), E(i), c(i + 1)], [(ONE, [E(i + 1), c(i)])])]),
+    "cap_shrink": (_AT2, lambda i: [([E(i + 1), E(i), E(i + 1)], [(ONE, [E(i + 1)])]),
+                                    ([E(i), E(i + 1), E(i)], [(ONE, [E(i)])])]),
+    # s_i y_i = y_{i+1} s_i - 1  and  s_i y_{i+1} = y_i s_i + 1 (plain crossing)
+    "dot_cross": (_AT, lambda i: [([y(i), c(i)], [(ONE, [c(i), y(i + 1)]), (MINUS, [])]),
+                                  ([y(i + 1), c(i)], [(ONE, [c(i), y(i)]), (ONE, [])])]),
+    # sh_i y_i = y_{i+1} sh_i + eh_i  and  sh_i y_{i+1} = y_i sh_i - eh_i (hatted)
+    "dot_cross_hat": (_AT, lambda i: [([y(i), c(i)], [(ONE, [c(i), y(i + 1)]), (ONE, [eh(i)])]),
+                                      ([y(i + 1), c(i)], [(ONE, [c(i), y(i)]), (MINUS, [eh(i)])])]),
+    # edot_i (y_i + y_{i+1}) = 0, i.e. edot_i y_i = -edot_i y_{i+1}
+    "cap_kills_sum_above": (_AT, lambda i: [([y(i), E(i)], [(MINUS, [y(i + 1), E(i)])])]),
+    "cap_kills_sum_below": (_AT, lambda i: [([E(i), y(i)], [(MINUS, [E(i), y(i + 1)])])]),
 }
 
 
@@ -304,12 +123,16 @@ def relation_ids():
 def instances(relation_id: str, A):
     if relation_id not in RELATIONS:
         raise ValueError(f"unknown relation id {relation_id!r}")
-    return RELATIONS[relation_id](orseq(A))
+    A = orseq(A)
+    family, templates = RELATIONS[relation_id]
+    return [
+        inst for ix in family(A) for lhs, rhs in templates(*ix) for inst in _match(lhs, rhs, A)
+    ]
 
 
 def all_instances(A):
     for rid in RELATIONS:
-        for inst in RELATIONS[rid](orseq(A)):
+        for inst in instances(rid, A):
             yield rid, inst
 
 

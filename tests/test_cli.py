@@ -50,6 +50,13 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
     assert (got["certified"], got["spanning"]) == (False, 8) and got["triples"]
 
 
+def _dotted(seq, gamma, eta):
+    """The identity on the object seq with dots gamma below and eta above."""
+    arcs = [[f"b{i}", f"t{i}"] for i in range(1, len(seq) + 1)]
+    mono = {"arcs": arcs, "bottom": seq, "top": seq, "gamma": gamma, "eta": eta}
+    return json.dumps({"bottom": seq, "top": seq, "terms": [{"coeff": "1", "monomial": mono}]})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -85,6 +92,12 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
         ("young-enum", "--seq", "1,-1", "--m", "0", "--n", "2", "--delta", "0"),
         ("spectrum", "--seq", "1,-1", "--m", "2", "--n", "33", "--delta", "0"),
         ("spectrum", "--seq", "1,-1", "--m", "2", "--n", "-1", "--delta", "0"),
+        ("reduce", "--element", _dotted((1,) * 9, [0] * 9, [0] * 9), "--m", "2", "--n", "2", "--delta", "0"),
+        ("reduce", "--element", _dotted((1, -1), [401, 0], [0, 400]), "--m", "2", "--n", "2", "--delta", "0"),
+        ("reduce", "--element", _dotted((1, -1) * 2, [0, 0, 0, 11], [0] * 4), "--affine", "--m", "2", "--n", "2", "--delta", "0"),
+        ("reduce", "--element", _dotted((1, 1), [0, 0], [0, 101]), "--m", "2", "--n", "2", "--delta", "0"),
+        ("multiply", "--x", _dotted((1, -1), [400, 0], [0, 0]), "--y", _dotted((1, -1), [0, 0], [0, 401]),
+         "--m", "2", "--n", "2", "--delta", "0"),
     ],
     ids=["omega-k", "omega-negative-k", "wseries-k", "seq-length", "poly-variable",
          "center-test-variable", "pair", "pair-zero", "poly-power", "constant-power",
@@ -93,7 +106,8 @@ def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
          "faithfulness-8-strands", "poly-length", "poly-length-spaces", "verify-s8-N-zero",
          "verify-s8-N-negative", "verify-s8-N", "verify-s8-3-strands-m-n", "verify-s8-7-strands",
          "verify-s8-m-alone", "wseries-m-alone", "young-enum-m-n", "young-enum-m-zero", "spectrum-n",
-         "spectrum-n-negative"],
+         "spectrum-n-negative", "reduce-strands", "reduce-dots", "reduce-dots-4-strands", "reduce-dots-1-1",
+         "multiply-dots"],
 )
 def test_oversized_input_is_an_engine_error(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -346,6 +360,18 @@ def test_verify_relations(capsys):
     rep = json.loads(out)
     assert rep["all_ok"] is True and rep["failed"] == []
     assert "cap_y_cap" in rep["ok"] and "cap_sq" in rep["ok"]
+
+
+def test_verify_relations_needs_omega_for_every_instance(capsys):
+    # cap_y_cap has 4 instances on (1,-1), up to omega_3: one value is an
+    # engine error, not an empty relation
+    omega = ("--omega-json", '{"kind":"list","values":[2]}')
+    code, out, err = run_main(capsys, "verify-relations", "--seq", "1,-1", *omega)
+    assert (code, out) == (1, "") and "omega_1" in json.loads(err)["error"]
+    omega = ("--omega-json", '{"kind":"list","values":[2,3,5,7]}')
+    code, out, _ = run_main(capsys, "verify-relations", "--seq", "1,-1", *omega)
+    rep = json.loads(out)
+    assert code == 0 and rep["all_ok"] is True and "cap_y_cap" in rep["ok"]
 
 
 def test_verify_s8_trivial(capsys):
