@@ -30,8 +30,9 @@ Conventions
   4.5-6 s. `verify-s8` checks its identities on C(mn+d, d) N^k spanning
   vectors (N^k on the trivial module) at d = --max-deg in 0..MAX_S8_DEG =
   4; there N (--N, or --m + --n) lies in 1..MAX_S8_N = 16 and the vector
-  count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 4.3 s per
-  process; 1,-1,1 at (3,3,0), 13 s, is refused). `young-enum` and
+  count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 2.5-3.5 s
+  per process; 1,-1,1 at (3,3,0), 13 s, is refused); giving --N with
+  --m/--n/--delta is an error. `young-enum` and
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
   32 take about 5 s and print 10 MB). A --poly text has at most
   MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
@@ -312,6 +313,8 @@ def cmd_verify_s8(args):
     A = _parse_seq(args.seq)
     _check_range("--max-deg", args.max_deg, 0, MAX_S8_DEG)
     if args.N is not None:
+        if (args.m, args.n, args.delta) != (None, None, None):
+            raise ValueError("verify-s8 takes --N (trivial) or --m/--n/--delta, not both")
         ctx = glrep.GlContext.trivial(args.N)
     elif args.m is not None:
         ctx = glrep.GlContext.parabolic(*_mnd(args))

@@ -33,14 +33,18 @@ exact.lincomb, the kernel shared with the rewriting engine.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
-generator word and must satisfy every defining relation.
+generator word and must satisfy every defining relation. Besides the
+generator tokens, apply_token takes ("o", j, k) for Omega_{jk} between
+factor j (0 = the module) and slot k, so that verify_section8 states each
+operator identity of its table IDENTITIES as words and checks them all
+through one prefix trie.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .diagrams import (
     DecoratedElement,
@@ -281,12 +285,18 @@ def y_apply(v: ModuleVector, i: int) -> ModuleVector:
 
 
 def apply_token(tok, v: ModuleVector) -> ModuleVector:
-    """Apply one generator word token (see diagrams.word_for_monomial)."""
-    kind, i = tok
+    """Apply one word token: a generator token (see
+    diagrams.word_for_monomial) or ("o", j, k), the split Casimir
+    omega_pair(v, j, k) between factor j (0 = the module) and slot k."""
+    kind, i = tok[0], tok[1]
     ctx, A = v.ctx, v.A
     n = len(A)
     if kind == "y":
         return y_apply(v, i)
+    if kind == "o":
+        if not (0 <= i <= n and 1 <= tok[2] <= n):
+            raise ValueError("token index out of range")
+        return omega_pair(v, i, tok[2])
     if not 1 <= i <= n - 1:
         raise ValueError("token index out of range")
     if kind == "c":
@@ -515,188 +525,98 @@ def faithfulness_rank(A, params) -> int:
 # ---------------------------------------------------------------------------
 # Operator-identity report.
 
+# index families of the object A, one index tuple per table entry
+_FACTORS = lambda k, first: lambda A: list(combinations(range(first, len(A) + 1), k))
+_SLIDES = lambda A: [(i, *jk) for i in range(1, len(A)) for jk in _FACTORS(2, 0)(A)]
+_OFF = lambda A: [  # position i, strand j off it
+    (i, j) for i in range(1, len(A)) for j in range(1, len(A) + 1) if j not in (i, i + 1)
+]
+_SAME = lambda A: [(i,) for i in range(1, len(A)) if A[i - 1] == A[i]]
+_OPPOSITE = lambda A: [(i,) for i in range(1, len(A)) if A[i - 1] != A[i]]
+_OPPOSITE_OFF = lambda A: [(i, j) for i, j in _OFF(A) if A[i - 1] != A[i]]
+_KILLS = lambda A: [(i, kind) for i, in _OPPOSITE(A) for kind in ("e", "eh")]
 
-def _vec_key(v: ModuleVector):
-    (key,) = list(v.terms)[:1] or [None]
-    return key
+
+def _swapped(i, x):
+    """The factor that factor x becomes under the crossing at position i."""
+    return {i: i + 1, i + 1: i}.get(x, x)
+
+
+# check id -> (index family, indices -> [(label, lhs word, [(coeff, rhs word)])]);
+# the claim is lhs v = sum coeff * word v, words in application order as in
+# relations.RELATIONS, with ("o", j, k) for Omega_{jk} (apply_token)
+IDENTITIES = {
+    "crossing_slides_casimir": (_SLIDES, lambda i, j, k: [
+        (f"i={i},j={j},k={k}", [("o", j, k), ("c", i)],
+         [(1, [("c", i), ("o", _swapped(i, j), _swapped(i, k))])])]),
+    "crossing_commutes_far_dots": (_OFF, lambda i, j: [
+        (f"i={i},j={j}", [("y", j), ("c", i)], [(1, [("c", i), ("y", j)])])]),
+    # [e_i, Omega_{ij} + Omega_{i+1,j}] = 0 from either side
+    "contraction_kills_casimir_sum": (_OPPOSITE_OFF, lambda i, j: [
+        (f"post i={i},j={j}", [("e", i), ("o", i, j)], [(-1, [("e", i), ("o", i + 1, j)])]),
+        (f"pre i={i},j={j}", [("o", i, j), ("e", i)], [(-1, [("o", i + 1, j), ("e", i)])])]),
+    "casimir_disjoint_commute": (_FACTORS(4, 1), lambda i, j, k, l: [
+        (f"[{i}{j},{k}{l}]", [("o", k, l), ("o", i, j)], [(1, [("o", i, j), ("o", k, l)])])]),
+    # [Omega_{ij} + Omega_{jk}, Omega_{ik}] = 0
+    "casimir_triple_commutator": (_FACTORS(3, 0), lambda i, j, k: [
+        (f"({i},{j},{k})", [("o", i, k), ("o", i, j)],
+         [(-1, [("o", i, k), ("o", j, k)]), (1, [("o", i, j), ("o", i, k)]),
+          (1, [("o", j, k), ("o", i, k)])])]),
+    "dots_commute": (_FACTORS(2, 1), lambda i, j: [
+        (f"y{i}y{j}", [("y", i), ("y", j)], [(1, [("y", j), ("y", i)])])]),
+    "flip_equals_casimir": (_SAME, lambda i: [(f"i={i}", [("c", i)], [(1, [("o", i, i + 1)])])]),
+    "contraction_equals_minus_casimir": (_OPPOSITE, lambda i: [
+        (f"i={i}", [("e", i)], [(-1, [("o", i, i + 1)])])]),
+    "dot_crossing_commutator": (_SAME, lambda i: [
+        (f"s{i} y{i}", [("y", i), ("c", i)], [(1, [("c", i), ("y", i + 1)]), (-1, [])]),
+        (f"s{i} y{i + 1}", [("y", i + 1), ("c", i)], [(1, [("c", i), ("y", i)]), (1, [])])]),
+    "hat_dot_crossing_commutator": (_OPPOSITE, lambda i: [
+        (f"sh{i} y{i}", [("y", i), ("c", i)], [(1, [("c", i), ("y", i + 1)]), (1, [("eh", i)])]),
+        (f"sh{i} y{i + 1}", [("y", i + 1), ("c", i)],
+         [(1, [("c", i), ("y", i)]), (-1, [("eh", i)])])]),
+    # e_i (y_i + y_{i+1}) = 0 = (y_i + y_{i+1}) e_i, and the same for eh_i
+    "contraction_kills_dot_sum": (_KILLS, lambda i, kind: [
+        (f"{kind}{i} post", [("y", i), (kind, i)], [(-1, [("y", i + 1), (kind, i)])]),
+        (f"{kind}{i} pre", [(kind, i), ("y", i)], [(-1, [(kind, i), ("y", i + 1)])])]),
+}
+
+
+def identity_instances(check_id: str, A):
+    """[(label, lhs word, [(coeff, rhs word)])] of one IDENTITIES entry on A."""
+    family, build = IDENTITIES[check_id]
+    return [inst for ix in family(orseq(A)) for inst in build(*ix)]
 
 
 def verify_section8(ctx: GlContext, A, max_deg: int = 2) -> dict:
-    """Check the operator identities behind the representation, per id:
-    each is verified on the full tensor basis (trivial) or the
-    degree <= max_deg spanning set (parabolic)."""
+    """Check every IDENTITIES instance on the full tensor basis (trivial) or
+    the degree <= max_deg spanning set (parabolic): check id ->
+    {"instances": instances times vectors, "failures": ["label on key"]},
+    failures in instance order, then vector order.
+
+    Every word of every instance goes into one word_trie, so each distinct
+    prefix is applied once per vector. An instance with a single rhs word of
+    coefficient 1 compares the two images; any other is one exact.lincomb."""
     A = orseq(A)
-    n = len(A)
     vectors = list(spanning_vectors(ctx, A, max_deg))
-    report = {}
-
-    def run(check_id, instance_iter):
-        count = 0
-        failures = []
-        for label, fn in instance_iter:
-            for v in vectors:
-                count += 1
-                if not fn(v):
-                    failures.append(f"{label} on {_vec_key(v)}")
-        report[check_id] = {"instances": count, "failures": failures}
-
-    def crossing_slides():
-        for i in range(1, n):
-            for j in range(0, n + 1):
-                for k in range(j + 1, n + 1):
-                    def fn(v, i=i, j=j, k=k):
-                        si = lambda x: x if x == 0 else (
-                            i + 1 if x == i else i if x == i + 1 else x
-                        )
-                        lhs = apply_token(("c", i), omega_pair(v, j, k))
-                        rhs = omega_pair(apply_token(("c", i), v), si(j), si(k))
-                        return lhs == rhs
-                    yield f"i={i},j={j},k={k}", fn
-
-    run("crossing_slides_casimir", crossing_slides())
-
-    def far_dots():
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                if j in (i, i + 1):
-                    continue
-                def fn(v, i=i, j=j):
-                    return apply_token(("c", i), y_apply(v, j)) == y_apply(
-                        apply_token(("c", i), v), j
-                    )
-                yield f"i={i},j={j}", fn
-
-    run("crossing_commutes_far_dots", far_dots())
-
-    def contraction_kills_casimir_sum():
-        for i in range(1, n):
-            if A[i - 1] == A[i]:
-                continue
-            for j in range(1, n + 1):
-                if j in (i, i + 1):
-                    continue
-                def post(v, i=i, j=j):
-                    w = apply_token(("e", i), v)
-                    return (omega_pair(w, i, j) + omega_pair(w, i + 1, j)).is_zero()
-                def pre(v, i=i, j=j):
-                    w = omega_pair(v, i, j) + omega_pair(v, i + 1, j)
-                    return apply_token(("e", i), w).is_zero()
-                yield f"post i={i},j={j}", post
-                yield f"pre i={i},j={j}", pre
-
-    run("contraction_kills_casimir_sum", contraction_kills_casimir_sum())
-
-    def disjoint():
-        for quad in combinations_with_replacement(range(1, n + 1), 4):
-            i, j, k, l = quad
-            if len(set(quad)) != 4:
-                continue
-            def fn(v, i=i, j=j, k=k, l=l):
-                lhs = omega_pair(omega_pair(v, k, l), i, j)
-                rhs = omega_pair(omega_pair(v, i, j), k, l)
-                return lhs == rhs
-            yield f"[{i}{j},{k}{l}]", fn
-
-    run("casimir_disjoint_commute", disjoint())
-
-    def triple():
-        for i in range(0, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    def fn(v, i=i, j=j, k=k):
-                        a = omega_pair(omega_pair(v, i, k), i, j) + omega_pair(
-                            omega_pair(v, i, k), j, k
-                        )
-                        b = omega_pair(
-                            omega_pair(v, i, j) + omega_pair(v, j, k), i, k
-                        )
-                        return a == b
-                    yield f"({i},{j},{k})", fn
-
-    run("casimir_triple_commutator", triple())
-
-    def dots_commute():
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                def fn(v, i=i, j=j):
-                    return y_apply(y_apply(v, i), j) == y_apply(y_apply(v, j), i)
-                yield f"y{i}y{j}", fn
-
-    run("dots_commute", dots_commute())
-
-    def flip():
-        for i in range(1, n):
-            if A[i - 1] != A[i]:
-                continue
-            def fn(v, i=i):
-                return apply_token(("c", i), v) == omega_pair(v, i, i + 1)
-            yield f"i={i}", fn
-
-    run("flip_equals_casimir", flip())
-
-    def contraction():
-        for i in range(1, n):
-            if A[i - 1] == A[i]:
-                continue
-            def fn(v, i=i):
-                return apply_token(("e", i), v) == omega_pair(v, i, i + 1).scale(-1)
-            yield f"i={i}", fn
-
-    run("contraction_equals_minus_casimir", contraction())
-
-    def dot_crossing():
-        for i in range(1, n):
-            if A[i - 1] != A[i]:
-                continue
-            def one(v, i=i):
-                lhs = apply_token(("c", i), y_apply(v, i)) - y_apply(
-                    apply_token(("c", i), v), i + 1
-                )
-                return lhs == v.scale(-1)
-            def two(v, i=i):
-                lhs = apply_token(("c", i), y_apply(v, i + 1)) - y_apply(
-                    apply_token(("c", i), v), i
-                )
-                return lhs == v
-            yield f"s{i} y{i}", one
-            yield f"s{i} y{i+1}", two
-
-    run("dot_crossing_commutator", dot_crossing())
-
-    def hat_dot_crossing():
-        for i in range(1, n):
-            if A[i - 1] == A[i]:
-                continue
-            def one(v, i=i):
-                lhs = apply_token(("c", i), y_apply(v, i)) - y_apply(
-                    apply_token(("c", i), v), i + 1
-                )
-                return lhs == apply_token(("eh", i), v)
-            def two(v, i=i):
-                lhs = apply_token(("c", i), y_apply(v, i + 1)) - y_apply(
-                    apply_token(("c", i), v), i
-                )
-                return lhs == apply_token(("eh", i), v).scale(-1)
-            yield f"sh{i} y{i}", one
-            yield f"sh{i} y{i+1}", two
-
-    run("hat_dot_crossing_commutator", hat_dot_crossing())
-
-    def contraction_kills_dot_sum():
-        for i in range(1, n):
-            if A[i - 1] == A[i]:
-                continue
-            for kind in ("e", "eh"):
-                def post(v, i=i, kind=kind):
-                    return apply_token(
-                        (kind, i), y_apply(v, i) + y_apply(v, i + 1)
-                    ).is_zero()
-                def pre(v, i=i, kind=kind):
-                    w = apply_token((kind, i), v)
-                    return (y_apply(w, i) + y_apply(w, i + 1)).is_zero()
-                yield f"{kind}{i} post", post
-                yield f"{kind}{i} pre", pre
-
-    run("contraction_kills_dot_sum", contraction_kills_dot_sum())
-
+    claims = [(cid, inst) for cid in IDENTITIES for inst in identity_instances(cid, A)]
+    words = [w for _, (_, lhs, rhs) in claims for w in [lhs] + [w for _, w in rhs]]
+    trie = word_trie(words)
+    bad = [[] for _ in claims]  # per instance, the first key of each vector it fails on
+    for v in vectors:
+        images = [None] * len(words)
+        for i, w in apply_trie(trie, v):
+            images[i] = w
+        images = iter(images)
+        for keys, (_, (_, _, rhs)) in zip(bad, claims):
+            lhs = next(images)
+            if len(rhs) == 1 and rhs[0][0] == 1:
+                ok = lhs == next(images)
+            else:
+                ok = not lincomb([(1, lhs.terms)] + [(-c, next(images).terms) for c, _ in rhs])
+            if not ok:
+                keys.append(next(iter(v.terms), None))
+    report = {cid: {"instances": 0, "failures": []} for cid in IDENTITIES}
+    for keys, (cid, (label, _, _)) in zip(bad, claims):
+        report[cid]["instances"] += len(vectors)
+        report[cid]["failures"] += [f"{label} on {key}" for key in keys]
     return report

@@ -87,6 +87,7 @@ def _dotted(seq, gamma, eta):
         ("verify-s8", "--seq", "1,-1,1", "--m", "3", "--n", "3", "--delta", "0"),
         ("verify-s8", "--seq", "1,-1,1,-1,1,-1,1", "--m", "1", "--n", "1", "--delta", "0"),
         ("verify-s8", "--seq", "1,-1", "--m", "2"),
+        ("verify-s8", "--seq", "1,-1", "--N", "2", "--m", "1", "--n", "1", "--delta", "0"),
         ("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", "--m", "2"),
         ("young-enum", "--seq", "1,1,1,-1,-1,-1", "--m", "1000", "--n", "1000", "--delta", "0"),
         ("young-enum", "--seq", "1,-1", "--m", "0", "--n", "2", "--delta", "0"),
@@ -105,7 +106,7 @@ def _dotted(seq, gamma, eta):
          "faithfulness-4-strands-m-n", "faithfulness-4-strands-unfaithful", "faithfulness-strands",
          "faithfulness-8-strands", "poly-length", "poly-length-spaces", "verify-s8-N-zero",
          "verify-s8-N-negative", "verify-s8-N", "verify-s8-3-strands-m-n", "verify-s8-7-strands",
-         "verify-s8-m-alone", "wseries-m-alone", "young-enum-m-n", "young-enum-m-zero", "spectrum-n",
+         "verify-s8-m-alone", "verify-s8-N-and-m-n", "wseries-m-alone", "young-enum-m-n", "young-enum-m-zero", "spectrum-n",
          "spectrum-n-negative", "reduce-strands", "reduce-dots", "reduce-dots-4-strands", "reduce-dots-1-1",
          "multiply-dots"],
 )

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -26,6 +27,7 @@ from wbcat.glrep import (
     apply_word,
     extract_omega,
     faithfulness_rank,
+    identity_instances,
     levi_inputs,
     omega_pair,
     represent,
@@ -37,7 +39,7 @@ from wbcat.glrep import (
     y_apply,
     zero_vector,
 )
-from wbcat.relations import all_instances, resolve_coeff
+from wbcat.relations import all_instances, instances, resolve_coeff
 
 
 class Params:
@@ -327,6 +329,92 @@ def test_verify_section8_parabolic():
     report = verify_section8(GlContext.parabolic(2, 2, 0), (1, -1), max_deg=1)
     for check, res in report.items():
         assert res["failures"] == [], check
+
+
+def _omega_module_doubled(omega):
+    def fault(v, j, k, acc=None):
+        out = omega(v, j, k, acc)
+        return out.scale(2) if acc is None and 0 in (j, k) else out
+
+    return fault
+
+
+def _eh_flipped(apply):
+    def fault(tok, v):
+        out = apply(tok, v)
+        return out.scale(-1) if tok[0] == "eh" else out
+
+    return fault
+
+
+def _c1_tripled(apply):
+    def fault(tok, v):
+        out = apply(tok, v)
+        if tok != ("c", 1):
+            return out
+        return ModuleVector(out.ctx, out.A, {k: 3 * c if k[1][0] == 1 else c for k, c in out.terms.items()})
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "target, fault, digest, failures",
+    [
+        (None, None, "ae9697d9efb0e961", 0),
+        ("omega_pair", _omega_module_doubled, "8b4a38c1c2848653", 232),
+        ("apply_token", _eh_flipped, "8944702190c4dc9a", 176),
+        ("apply_token", _c1_tripled, "5a78bd2c378d01ed", 461),
+    ],
+    ids=["none", "omega-module-doubled", "eh-flipped", "c1-tripled"],
+)
+def test_verify_section8_report_is_pinned(monkeypatch, target, fault, digest, failures):
+    # whole reports, failure labels and order included, with a planted fault
+    # in Omega between the module and a slot, in eh_i, or in the crossing s_1
+    if target:
+        monkeypatch.setattr(glrep, target, fault(getattr(glrep, target)))
+    reports = [
+        verify_section8(GlContext.trivial(2), (1, 1, -1)),
+        verify_section8(GlContext.parabolic(1, 1, 0), (1, -1, 1)),
+        verify_section8(GlContext.parabolic(2, 2, 0), (1, -1)),
+    ]
+    assert sum(len(res["failures"]) for rep in reports for res in rep.values()) == failures
+    assert hashlib.sha256(repr(reports).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("A", [(1, -1), (1, 1, -1)])
+def test_omega_token_is_omega_pair(A):
+    ctx = GlContext.parabolic(2, 1, 1)
+    for v in spanning_vectors(ctx, A, max_deg=1):
+        for j in range(len(A) + 1):
+            for k in range(1, len(A) + 1):
+                if j != k:
+                    assert apply_token(("o", j, k), v) == omega_pair(v, j, k)
+    v = ModuleVector.basis_vector(ctx, A, (1,) * len(A))
+    for tok in (("o", 1, 1), ("o", 1, 0)):
+        with pytest.raises(ValueError):
+            apply_token(tok, v)
+
+
+# identities of the table that restate defining relations
+RESTATED = {
+    "dots_commute": ["y_comm"],
+    "crossing_commutes_far_dots": ["cross_y_far"],
+    "dot_crossing_commutator": ["dot_cross"],
+    "hat_dot_crossing_commutator": ["dot_cross_hat"],
+    "contraction_kills_dot_sum": ["cap_kills_sum_above", "cap_kills_sum_below"],
+}
+
+
+def test_restated_identities_are_their_relations():
+    def key(lhs, rhs):
+        return tuple(lhs), tuple((F(c), tuple(w)) for c, w in rhs)
+
+    for k in range(1, 6):
+        for A in product((1, -1), repeat=k):
+            for check, rids in RESTATED.items():
+                table = sorted(key(lhs, rhs) for _, lhs, rhs in identity_instances(check, A))
+                registry = sorted(key(lhs, rhs) for rid in rids for lhs, rhs in instances(rid, A))
+                assert table == registry, (check, A)
 
 
 def test_faithfulness_rank_single_strand():
