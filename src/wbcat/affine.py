@@ -556,7 +556,13 @@ def check_relation(A, relation_id: str, omega: OmegaSpec) -> bool:
     insts = relation_instances(relation_id, A)
     if not insts:
         raise ValueError(f"relation {relation_id!r} has no instances on {A}")
-    unit = DecoratedElement.unit(A)
+    return check_instances(A, insts, omega)
+
+
+def check_instances(A, insts, omega: OmegaSpec) -> bool:
+    """True iff every relation instance (lhs, [(coeff, word)]) on A reduces
+    to equality."""
+    unit = DecoratedElement.unit(orseq(A))
     for lhs, rhs in insts:
         left = apply_word(lhs, unit, omega)
         parts = [(resolve_coeff(c, omega), apply_word(word, unit, omega)) for c, word in rhs]

@@ -32,7 +32,8 @@ Conventions
   4; there N (--N, or --m + --n) lies in 1..MAX_S8_N = 16 and the vector
   count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 2.5-3.5 s
   per process; 1,-1,1 at (3,3,0), 13 s, is refused); giving --N with
-  --m/--n/--delta is an error. `young-enum` and
+  --m/--n/--delta is an error, and so is an object on which no identity
+  has an instance (one strand), which would check nothing. `young-enum` and
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
   32 take about 5 s and print 10 MB). A --poly text has at most
   MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
@@ -300,10 +301,11 @@ def cmd_verify_relations(args):
     omega = _omega_from(args) or _GENERIC_OMEGA
     ok, empty, failed = [], [], []
     for rid in relation_ids():
-        if not instances(rid, A):
+        insts = instances(rid, A)
+        if not insts:
             empty.append(rid)
             continue
-        (ok if affine.check_relation(A, rid, omega) else failed).append(rid)
+        (ok if affine.check_instances(A, insts, omega) else failed).append(rid)
     return _emit(
         {"all_ok": not failed, "empty": sorted(empty), "failed": sorted(failed), "ok": sorted(ok)}
     )
@@ -327,6 +329,8 @@ def cmd_verify_s8(args):
     if pbw * ctx.N ** len(A) * len(A) ** 3 > MAX_S8_WORK:
         raise ValueError(f"spanning set times strands^3 above {MAX_S8_WORK}")
     report = glrep.verify_section8(ctx, A, max_deg=args.max_deg)
+    if not any(res["instances"] for res in report.values()):
+        raise ValueError(f"no operator identity has an instance on {list(A)}")
     return _emit(report)
 
 

@@ -27,8 +27,11 @@ slots have the same orientation, minus a cap-cup when they are opposite.
 Between the module and a slot it is read from a second cached table
 (_module_slot): for one slot value and one PBW monomial, every new slot
 value d with the module action that goes with it, already signed. A dot
-y_i adds all of its Omega terms into one accumulator seeded with (N/2)v
-and cleans it once (exact.clean). Every other sum of vectors is one call of
+y_i splits into a slot part, N/2 + sum_{1<=k<i} Omega_{ki}, which depends
+on the slot tuple alone and is read from a third cached table
+(_dot_slots, built from _slot_pair), and the module term Omega_{0i}, one
+omega_pair call on the parabolic module. Both go into one accumulator,
+cleaned once (exact.clean). Every other sum of vectors is one call of
 exact.lincomb, the kernel shared with the rewriting engine.
 
 This module is the independent route against which the diagrammatic
@@ -137,6 +140,22 @@ def _module_slot(N: int, m: int, delta: int, up: bool, c: int, mu: tuple):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _dot_slots(N: int, A: tuple, i: int, slots: tuple):
+    """N/2 + sum_{1 <= k < i} Omega_{ki} on the slot tuple alone:
+    ((slots', coeff), ...), clean (exact.clean). The slot part of y_i."""
+    acc = {slots: N // 2 if N % 2 == 0 else Fraction(N, 2)}
+    get = acc.get
+    up_i, c = A[i - 1] == 1, slots[i - 1]
+    for k in range(1, i):
+        for e2, c2, sgn in _slot_pair(N, A[k - 1] == 1, up_i, slots[k - 1], c):
+            ns = list(slots)
+            ns[k - 1], ns[i - 1] = e2, c2
+            ns = tuple(ns)
+            acc[ns] = get(ns, 0) + sgn
+    return tuple(clean(acc).items())
+
+
 def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
     """A ModuleVector over terms that are already clean (exact.clean)."""
     v = ModuleVector.__new__(ModuleVector)
@@ -147,7 +166,8 @@ def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
 class ModuleVector:
     """Exact vector in M (x) V^{(x)A}: keys (mu, slots) -> nonzero int, or
     Fraction when the coefficient is not integral. Sums go through the
-    kernel exact.lincomb."""
+    kernel exact.lincomb. Vectors are never changed in place, so one may be
+    shared: scale(1) returns the vector itself."""
 
     __slots__ = ("ctx", "A", "terms")
 
@@ -186,6 +206,8 @@ class ModuleVector:
         return _vector(self.ctx, self.A, lincomb(((1, self.terms), (c, other.terms))))
 
     def scale(self, c) -> "ModuleVector":
+        if c.__class__ is int and c == 1:
+            return self
         return _vector(self.ctx, self.A, lincomb(((c, self.terms),)))
 
     def __eq__(self, other):
@@ -273,15 +295,20 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
 
 
 def y_apply(v: ModuleVector, i: int) -> ModuleVector:
-    """y_i = sum_{0 <= k < i} Omega_{ki} + N/2, summed in one accumulator."""
+    """y_i = N/2 + sum_{1 <= k < i} Omega_{ki} (one _dot_slots row per term)
+    + Omega_{0i} (omega_pair, parabolic only), summed in one accumulator."""
     if not 1 <= i <= len(v.A):
         raise ValueError("dot index out of range")
-    N = v.ctx.N
-    half = N // 2 if N % 2 == 0 else Fraction(N, 2)
-    acc = {key: half * c for key, c in v.terms.items()}
-    for k in range(i):
-        omega_pair(v, k, i, acc)
-    return _vector(v.ctx, v.A, clean(acc))
+    ctx, A = v.ctx, v.A
+    acc = {}
+    get = acc.get
+    for (mu, slots), coeff in v.terms.items():
+        for ns, c in _dot_slots(ctx.N, A, i, slots):
+            key = (mu, ns)
+            acc[key] = get(key, 0) + c * coeff
+    if ctx.kind == "parabolic":
+        omega_pair(v, 0, i, acc)
+    return _vector(ctx, A, clean(acc))
 
 
 def apply_token(tok, v: ModuleVector) -> ModuleVector:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .diagrams import orseq, swap_seq
+from .exact import num
 
 OMEGA_KMAX = 3  # dot powers enumerated inside contraction instances
 
@@ -137,7 +138,8 @@ def all_instances(A):
 
 
 def resolve_coeff(coeff, omega):
-    """Turn a registry coefficient into a Fraction using omega(k)."""
+    """The value of a registry coefficient, markers read through omega(k):
+    an int when it is integral, a Fraction otherwise (exact.num)."""
     if isinstance(coeff, tuple) and coeff and coeff[0] == "omega":
-        return Fraction(omega(coeff[1]))
-    return Fraction(coeff)
+        return num(omega(coeff[1]))
+    return num(coeff)

@@ -382,6 +382,13 @@ def test_verify_s8_trivial(capsys):
     assert rep and all(v["failures"] == [] for v in rep.values())
 
 
+def test_verify_s8_refuses_an_object_it_cannot_check(capsys):
+    # no identity has an instance on one strand: a report of zeros is not a pass
+    for argv in (("--N", "2"), ("--m", "1", "--n", "1", "--delta", "0")):
+        code, out, err = run_main(capsys, "verify-s8", "--seq", "1", *argv)
+        assert (code, out) == (1, "") and "no operator identity" in json.loads(err)["error"]
+
+
 def test_spectrum(capsys):
     code, out, _ = run_main(capsys, "spectrum", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 0

@@ -214,6 +214,55 @@ def test_y_apply_sums_its_casimirs_in_one_accumulator(ctx, data):
 
 
 @pytest.mark.parametrize(
+    "ctx",
+    [
+        GlContext.trivial(2),
+        GlContext.trivial(3),
+        GlContext.parabolic(2, 2, 0),
+        GlContext.parabolic(2, 1, 1),
+    ],
+    ids=lambda c: f"{c.kind}{c.N}m{c.m}",
+)
+def test_y_apply_is_its_definition(ctx):
+    # y_i v = (N/2) v + sum_{0 <= k < i} Omega_{ki} v, the right side from
+    # separate omega_pair calls, on every basis vector of module degree <= 1
+    # and on sums of three of them, for every dot of every 2- and 3-strand
+    # object; trivial(3) makes the shift the Fraction 3/2
+    for A in [A for k in (2, 3) for A in product((1, -1), repeat=k)]:
+        basis = list(spanning_vectors(ctx, A, max_deg=1))
+        sums = [
+            basis[t] + basis[t + 1].scale(-2) + basis[t + 2].scale(F(3, 2))
+            for t in range(0, len(basis) - 2, 3)
+        ]
+        for v in basis + sums:
+            for i in range(1, len(A) + 1):
+                expected = v.scale(F(ctx.N, 2))
+                for k in range(i):
+                    expected = expected + omega_pair(v, k, i)
+                got = y_apply(v, i)
+                assert got == expected, (A, i, v)
+                assert _exact_coeffs(got)
+
+
+def test_resolve_coeff_is_the_fraction_value():
+    # an int when integral, a Fraction otherwise, equal in value to
+    # Fraction(coeff) or Fraction(omega(k)), on every 3-strand instance
+    def omega(k):
+        return F(k + 1, 2)  # 1/2, 1, 3/2, 2: integral and not
+
+    seen = set()
+    for A in product((1, -1), repeat=3):
+        for _, (_, rhs) in all_instances(A):
+            for coeff, _ in rhs:
+                old = F(omega(coeff[1])) if isinstance(coeff, tuple) else F(coeff)
+                got = resolve_coeff(coeff, omega)
+                assert got == old
+                assert type(got) is (int if old.denominator == 1 else F)
+                seen.add(got)
+    assert {F(1, 2), 1, -1} <= seen
+
+
+@pytest.mark.parametrize(
     "ctx, A, max_deg, checks",
     [
         (GlContext.parabolic(2, 2, 0), (1, -1), 1, 6400),
