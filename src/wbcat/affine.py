@@ -74,7 +74,7 @@ from .diagrams import (
     word_for_diagram,
     word_for_monomial,
 )
-from .exact import LaurentSeries, MultiPoly, Record, rat, series_div, series_negate_u
+from .exact import LaurentSeries, MultiPoly, Record, rat, series_div, series_negate_u, series_one
 from .relations import instances as relation_instances
 from .relations import resolve_coeff
 
@@ -178,11 +178,7 @@ def _series_one_minus_h2(nvars: int, order: int, yindex: int) -> LaurentSeries:
 
 def _series_star_S(S: LaurentSeries) -> LaurentSeries:
     """S*(u) = 1 / S(-u)."""
-    one = LaurentSeries(
-        S.nvars,
-        [MultiPoly.const(S.nvars, 1)] + [MultiPoly.zero(S.nvars)] * S.order,
-    )
-    return series_div(one, series_negate_u(S))
+    return series_div(series_one(S.nvars, S.order), series_negate_u(S))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 """Batch command-line front end: each engine operation as a one-shot
-subcommand with deterministic JSON on stdout.
+subcommand with deterministic JSON on stdout, built from one table, COMMANDS.
 
 Conventions
 -----------
@@ -35,7 +35,7 @@ Conventions
   --m/--n/--delta is an error, and so is an object on which no identity
   has an instance (one strand), which would check nothing. `young-enum` and
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
-  32 take about 5 s and print 10 MB). A --poly text has at most
+  32 take about 2 s and print 10 MB). A --poly text has at most
   MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
   character). `reduce` and `multiply` take elements on at most MAX_STRANDS
   strands. Their dots, over every term and both operands, number at most
@@ -46,6 +46,8 @@ Conventions
   at (2,3,5); 100 dots on strand 2 of (1,1), the costliest placement
   measured within MAX_DOTS, about 3 s and 8 s. The commands that enumerate
   the basis grow like 2^k k! in the number k of strands;
+* `reduce`, `multiply`, `wseries` and `verify-relations` take omega from
+  --m/--n/--delta or from --omega-json, never both;
 * sizes of End(A) are printed as "dim" only under the basis hypotheses
   (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
   only span, and the size is printed as "spanning" next to
@@ -149,26 +151,18 @@ def _params_from(args):
     return cyclotomic.make_params(*_mnd(args))
 
 
-def _omega_from(args):
-    if getattr(args, "omega_json", None):
+def _omega_from(args, default=None):
+    """The omega values of --omega-json or of --m/--n/--delta, never both;
+    default when neither is given, an error when there is no default."""
+    if args.omega_json:
+        if (args.m, args.n, args.delta) != (None, None, None):
+            raise ValueError(f"{args.command} takes --omega-json or --m/--n/--delta, not both")
         return OmegaSpec.from_json(_load_json_arg(args.omega_json))
     if args.m is not None:
         return _params_from(args).omega
-    return None
-
-
-def _add_params(sub, required=True):
-    sub.add_argument("--m", type=int, required=required, default=None)
-    sub.add_argument("--n", type=int, required=required, default=None)
-    sub.add_argument("--delta", type=int, required=required, default=None)
-
-
-def _add_omega_source(sub):
-    _add_params(sub, required=False)
-    sub.add_argument(
-        "--omega-json",
-        help="omega values as OmegaSpec JSON (alternative to --m/--n/--delta)",
-    )
+    if default is None:
+        raise ValueError(f"{args.command} needs --m/--n/--delta or --omega-json")
+    return default
 
 
 def _elements(*texts):
@@ -188,10 +182,8 @@ def _elements(*texts):
 
 def cmd_reduce(args):
     (el,) = _elements(args.element)
+    omega = _omega_from(args)
     if args.affine or args.m is None:
-        omega = _omega_from(args)
-        if omega is None:
-            raise ValueError("reduce needs --m/--n/--delta or --omega-json")
         out = affine.reduce(el, omega)
     else:
         out = cyclotomic.cyclo_reduce(el, _params_from(args))
@@ -200,20 +192,14 @@ def cmd_reduce(args):
 
 def cmd_multiply(args):
     x, y = _elements(args.x, args.y)
+    out = affine.multiply(x, y, _omega_from(args))
     if args.m is not None and not args.affine:
-        p = _params_from(args)
-        out = cyclotomic.cyclo_reduce(affine.multiply(x, y, p.omega), p)
-    else:
-        omega = _omega_from(args)
-        if omega is None:
-            raise ValueError("multiply needs --m/--n/--delta or --omega-json")
-        out = affine.multiply(x, y, omega)
+        out = cyclotomic.cyclo_reduce(out, _params_from(args))
     return _emit(element_to_json(out))
 
 
 def cmd_basis(args):
-    A = _parse_seq(args.seq)
-    monos = cyclotomic.basis(A, _params_from(args))
+    monos = cyclotomic.basis(args.seq, _params_from(args))
     return _emit(
         {"count": len(monos), "monomials": [monomial_to_json(m) for m in monos]}
     )
@@ -233,12 +219,12 @@ def _monomial_count(A):
 
 
 def cmd_dim(args):
-    A = _parse_seq(args.seq)
+    A = args.seq
     return _emit(_size_fields(A, _params_from(args), _monomial_count(A)))
 
 
 def cmd_struct_consts(args):
-    A = _parse_seq(args.seq)
+    A = args.seq
     p = _params_from(args)
     table = cyclotomic.structure_constants(A, p)
     triples = [[i, j, k, str(c)] for (i, j, k), c in sorted(table.items())]
@@ -246,12 +232,8 @@ def cmd_struct_consts(args):
 
 
 def cmd_wseries(args):
-    A = _parse_seq(args.seq)
     _check_range("--k", args.k, 0, MAX_WSERIES_K)
-    omega = _omega_from(args)
-    if omega is None:
-        raise ValueError("wseries needs --m/--n/--delta or --omega-json")
-    poly = affine.w_coeff(A, args.i, args.k, omega)
+    poly = affine.w_coeff(args.seq, args.i, args.k, _omega_from(args))
     return _emit({"poly": str(poly)})
 
 
@@ -270,7 +252,7 @@ def cmd_omega(args):
 
 
 def cmd_center_test(args):
-    A = _parse_seq(args.seq)
+    A = args.seq
     poly, _ = _poly_arg(args.poly, nvars_min=len(A))
     if poly.nvars > len(A):
         raise ValueError("polynomial mentions more strands than the object has")
@@ -279,9 +261,8 @@ def cmd_center_test(args):
 
 
 def cmd_center_basis(args):
-    A = _parse_seq(args.seq)
     _check_range("--max-deg", args.max_deg, 0, MAX_CENTER_DEG)
-    out = cyclotomic.center_basis(A, _params_from(args), args.max_deg)
+    out = cyclotomic.center_basis(args.seq, _params_from(args), args.max_deg)
     return _emit({"basis": [str(q) for q in out]})
 
 
@@ -297,8 +278,8 @@ def cmd_qcancel(args):
 
 
 def cmd_verify_relations(args):
-    A = _parse_seq(args.seq)
-    omega = _omega_from(args) or _GENERIC_OMEGA
+    A = args.seq
+    omega = _omega_from(args, _GENERIC_OMEGA)
     ok, empty, failed = [], [], []
     for rid in relation_ids():
         insts = instances(rid, A)
@@ -312,7 +293,7 @@ def cmd_verify_relations(args):
 
 
 def cmd_verify_s8(args):
-    A = _parse_seq(args.seq)
+    A = args.seq
     _check_range("--max-deg", args.max_deg, 0, MAX_S8_DEG)
     if args.N is not None:
         if (args.m, args.n, args.delta) != (None, None, None):
@@ -335,10 +316,9 @@ def cmd_verify_s8(args):
 
 
 def _walks(args):
-    A = _parse_seq(args.seq)
     for name, value in (("--m", args.m), ("--n", args.n)):
         _check_range(name, value, 1, MAX_WALK_MN)
-    return young4.enumerate_Y(A, args.m, args.n, args.delta)
+    return young4.enumerate_Y(args.seq, args.m, args.n, args.delta)
 
 
 def cmd_spectrum(args):
@@ -361,7 +341,7 @@ def cmd_young_enum(args):
 
 
 def cmd_faithfulness(args):
-    A = _parse_seq(args.seq)
+    A = args.seq
     _check_range("--m + --n", args.m + args.n, 2, MAX_RANK_N)
     if len(A) > MAX_RANK_STRANDS:
         raise ValueError(f"faithfulness takes at most {MAX_RANK_STRANDS} strands")
@@ -380,112 +360,65 @@ def cmd_faithfulness(args):
     return _emit({**out, "rank": rank})
 
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SEQ = [("--seq", _REQUIRED)]
+_MND = [(flag, _REQUIRED_INT) for flag in ("--m", "--n", "--delta")]
+_MND_OPTIONAL = [(flag, {"type": int}) for flag in ("--m", "--n", "--delta")]
+_OMEGA_SOURCE = _MND_OPTIONAL + [
+    ("--omega-json", {"help": "omega values as OmegaSpec JSON (alternative to --m/--n/--delta)"})
+]
+
+# subcommand -> (help, [(flag, add_argument keywords)]), in --help order;
+# "x-y" runs cmd_x_y, looked up per call, on args.seq parsed by _parse_seq
+COMMANDS = {
+    "reduce": ("normal form of an element", [
+        ("--element", {"required": True, "help": "element JSON or @file"}),
+        ("--affine", {"action": "store_true", "help": "skip the quadratic quotient"}),
+        *_OMEGA_SOURCE]),
+    "multiply": ("compose two elements (x stacked on y)", [
+        ("--x", _REQUIRED), ("--y", _REQUIRED), ("--affine", {"action": "store_true"}),
+        *_OMEGA_SOURCE]),
+    "basis": ("cyclotomic monomial basis of End(A)", _SEQ + _MND),
+    "dim": ("basis size only", _SEQ + _MND),
+    "struct-consts": ("multiplication table as sparse triples", _SEQ + _MND),
+    "wseries": ("contraction coefficient polynomial w_k", [
+        *_SEQ, ("--i", _REQUIRED_INT), ("--k", _REQUIRED_INT), *_OMEGA_SOURCE]),
+    "omega": ("omega_k for the parameter triple", [("--k", _REQUIRED_INT), *_MND]),
+    "center-test": ("does a polynomial centralize End(A)?", [("--poly", _REQUIRED), *_SEQ, *_MND]),
+    "center-basis": ("central polynomials up to a degree", [
+        *_SEQ, ("--max-deg", _REQUIRED_INT), *_MND]),
+    "qcancel": ("Q-cancellation test for a variable pair", [
+        ("--poly", _REQUIRED), ("--pair", {"required": True, "help": "i,j"})]),
+    "verify-relations": ("check all defining relations on A", _SEQ + _OMEGA_SOURCE),
+    "verify-s8": ("operator identities in the representation", [
+        *_SEQ, ("--N", {"type": int, "help": "trivial module dimension"}),
+        ("--max-deg", {"type": int, "default": 2}), *_MND_OPTIONAL]),
+    "spectrum": ("generalized eigenvalue tuples of the walks", _SEQ + _MND),
+    "young-enum": ("all strip-diagram walks for A", _SEQ + _MND),
+    "faithfulness": ("representation rank vs basis size", _SEQ + _MND),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wbcat", description="walled Brauer category engines, batch JSON"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("reduce", help="normal form of an element")
-    s.add_argument("--element", required=True, help="element JSON or @file")
-    s.add_argument("--affine", action="store_true", help="skip the quadratic quotient")
-    _add_omega_source(s)
-    s.set_defaults(fn=cmd_reduce)
-
-    s = subs.add_parser("multiply", help="compose two elements (x stacked on y)")
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
-    s.add_argument("--affine", action="store_true")
-    _add_omega_source(s)
-    s.set_defaults(fn=cmd_multiply)
-
-    s = subs.add_parser("basis", help="cyclotomic monomial basis of End(A)")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_basis)
-
-    s = subs.add_parser("dim", help="basis size only")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_dim)
-
-    s = subs.add_parser("struct-consts", help="multiplication table as sparse triples")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_struct_consts)
-
-    s = subs.add_parser("wseries", help="contraction coefficient polynomial w_k")
-    s.add_argument("--seq", required=True)
-    s.add_argument("--i", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    _add_omega_source(s)
-    s.set_defaults(fn=cmd_wseries)
-
-    s = subs.add_parser("omega", help="omega_k for the parameter triple")
-    s.add_argument("--k", type=int, required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_omega)
-
-    s = subs.add_parser("center-test", help="does a polynomial centralize End(A)?")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_center_test)
-
-    s = subs.add_parser("center-basis", help="central polynomials up to a degree")
-    s.add_argument("--seq", required=True)
-    s.add_argument("--max-deg", type=int, required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_center_basis)
-
-    s = subs.add_parser("qcancel", help="Q-cancellation test for a variable pair")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--pair", required=True, help="i,j")
-    s.set_defaults(fn=cmd_qcancel)
-
-    s = subs.add_parser("verify-relations", help="check all defining relations on A")
-    s.add_argument("--seq", required=True)
-    _add_omega_source(s)
-    s.set_defaults(fn=cmd_verify_relations)
-
-    s = subs.add_parser("verify-s8", help="operator identities in the representation")
-    s.add_argument("--seq", required=True)
-    s.add_argument("--N", type=int, default=None, help="trivial module dimension")
-    s.add_argument("--max-deg", type=int, default=2)
-    _add_params(s, required=False)
-    s.set_defaults(fn=cmd_verify_s8)
-
-    s = subs.add_parser("spectrum", help="generalized eigenvalue tuples of the walks")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_spectrum)
-
-    s = subs.add_parser("young-enum", help="all strip-diagram walks for A")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_young_enum)
-
-    s = subs.add_parser("faithfulness", help="representation rank vs basis size")
-    s.add_argument("--seq", required=True)
-    _add_params(s)
-    s.set_defaults(fn=cmd_faithfulness)
-
+    for name, (help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            sub.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        ArithmeticError,
-        RecursionError,
-        AssertionError,
-    ) as exc:
+        if "seq" in args:
+            args.seq = _parse_seq(args.seq)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (ValueError, KeyError, OSError, ArithmeticError, RecursionError, AssertionError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 1
 

@@ -58,6 +58,7 @@ from .diagrams import (
     word_for_monomial,
 )
 from .exact import Record, clean, lincomb, rref, sparse_rank
+from .relations import _OFF  # position i, strand j off it
 
 
 class GlContext(Record):
@@ -555,9 +556,6 @@ def faithfulness_rank(A, params) -> int:
 # index families of the object A, one index tuple per table entry
 _FACTORS = lambda k, first: lambda A: list(combinations(range(first, len(A) + 1), k))
 _SLIDES = lambda A: [(i, *jk) for i in range(1, len(A)) for jk in _FACTORS(2, 0)(A)]
-_OFF = lambda A: [  # position i, strand j off it
-    (i, j) for i in range(1, len(A)) for j in range(1, len(A) + 1) if j not in (i, i + 1)
-]
 _SAME = lambda A: [(i,) for i in range(1, len(A)) if A[i - 1] == A[i]]
 _OPPOSITE = lambda A: [(i,) for i in range(1, len(A)) if A[i - 1] != A[i]]
 _OPPOSITE_OFF = lambda A: [(i, j) for i, j in _OFF(A) if A[i - 1] != A[i]]

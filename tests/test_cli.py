@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -421,3 +422,66 @@ def test_console_entry_point():
         text=True,
     )
     assert r.returncode == 0 and r.stdout == '{"dim":8}\n'
+
+
+SUBCOMMANDS = (
+    "reduce", "multiply", "basis", "dim", "struct-consts", "wseries", "omega", "center-test",
+    "center-basis", "qcancel", "verify-relations", "verify-s8", "spectrum", "young-enum",
+    "faithfulness",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (("--help",), 0, "719204d049ea6d6b"),
+        *[((sub, "--help"), 0, digest) for sub, digest in zip(SUBCOMMANDS, (
+            "2733a0215a3e9537", "c92607c249f1d56d", "d67ba502261dd7ef", "c858d2c6a53c7313",
+            "701a6764173a3988", "521ffef465193706", "79fccdc8116ca3a3", "20a60148a56bd560",
+            "4ae3ee788c1ec774", "d963b3f1e4ff1f48", "d401e992d5e78bfb", "8d176149dd940d17",
+            "b27983fefad108f8", "2e89d5d8e3acb19e", "aaadbd04cde0b8fb",
+        ))],
+        (("dim", "--seq", "1,-1"), 2, "7866b77388f102df"),
+        (("no-such",), 2, "d2963133801d7aab"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv, code, digest):
+    # argparse wraps help and usage text to the terminal width; the digests
+    # were recorded with Python 3.11's argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    text = captured.out if code == 0 else captured.err
+    assert exc.value.code == code and hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+OMEGA_JSON = ("--omega-json", '{"kind":"list","values":[7,11,13]}')
+EL = _element()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--element", EL, *PARAMS, *OMEGA_JSON),
+        ("reduce", "--element", EL, "--affine", "--n", "2", *OMEGA_JSON),
+        ("multiply", "--x", EL, "--y", EL, *PARAMS, *OMEGA_JSON),
+        ("multiply", "--x", EL, "--y", EL, "--affine", "--delta", "0", *OMEGA_JSON),
+        ("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", *PARAMS, *OMEGA_JSON),
+        ("verify-relations", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "2", *OMEGA_JSON),
+    ],
+    ids=["reduce", "reduce-affine", "multiply", "multiply-affine", "wseries", "verify-relations"],
+)
+def test_two_parameter_sources_are_refused(capsys, argv):
+    # neither source may silently override the other
+    code, out, err = run_main(capsys, *argv)
+    error = json.loads(err)["error"]
+    assert (code, out) == (1, "") and error == f"{argv[0]} takes --omega-json or --m/--n/--delta, not both"
+
+
+def test_readme_lists_every_subcommand_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`([a-z0-9-]+)`", re.search(r"The full list: (.*?)\.", readme, re.S)[1])
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert listed == list(subparsers.choices) == list(SUBCOMMANDS)
