@@ -14,8 +14,9 @@ Conventions
 * input sizes are bounded before any work starts, with an engine error
   (exit 1) beyond the bound: an orientation sequence --seq has at most
   MAX_STRANDS = 8 entries, `omega --k` lies in 0..MAX_OMEGA_K = 10000
-  (omega_k is a loop of k steps) and `wseries --k` in 0..MAX_WSERIES_K = 64
-  (w_k is a polynomial whose size grows with k). A polynomial's variables
+  (omega_k is a loop of k steps) and `wseries --k` in 0..MAX_WSERIES_K[i]
+  at --i i, 64 down to 16 (w_k is a polynomial in i - 1 variables whose
+  size grows with k; up to about 6 s per process). A polynomial's variables
   y_i and `qcancel --pair` lie in 1..MAX_STRANDS, its degree is at most
   exact.MAX_POLY_DEGREE = 4, and `center-basis --max-deg` lies in
   0..MAX_CENTER_DEG = 3 (every monomial of that degree on 8 strands, about
@@ -36,7 +37,7 @@ Conventions
   has an instance (one strand), which would check nothing. `young-enum` and
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
   32 take about 2 s and print 10 MB). A --poly text has at most
-  MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.6 ms per
+  MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.15 ms per
   character). `reduce` and `multiply` take elements on at most MAX_STRANDS
   strands. Their dots, over every term and both operands, number at most
   MAX_DOTS_ONE_EACH_WAY = 800 on (1), (-1), (1,-1) and (-1,1), and
@@ -82,7 +83,10 @@ from .relations import instances, relation_ids
 
 MAX_STRANDS = 8
 MAX_OMEGA_K = 10_000
-MAX_WSERIES_K = 64
+# by --i; on the costliest prefix, the alternating one, the largest admitted
+# k takes about 1.5-3 s per process at (2,2,0) and 4-6 s where omega is not
+# integral, as at (3,2,1) or (8,1,0)
+MAX_WSERIES_K = {1: 64, 2: 64, 3: 32, 4: 24, 5: 20, 6: 18, 7: 16}
 MAX_CENTER_DEG = 3
 MAX_RANK_N = 8
 MAX_RANK_STRANDS = 4
@@ -151,14 +155,19 @@ def _params_from(args):
     return cyclotomic.make_params(*_mnd(args))
 
 
+def _mnd_given(args):
+    """Whether any of --m/--n/--delta was given; _mnd then needs all three."""
+    return (args.m, args.n, args.delta) != (None, None, None)
+
+
 def _omega_from(args, default=None):
     """The omega values of --omega-json or of --m/--n/--delta, never both;
     default when neither is given, an error when there is no default."""
-    if args.omega_json:
-        if (args.m, args.n, args.delta) != (None, None, None):
+    if args.omega_json is not None:
+        if _mnd_given(args):
             raise ValueError(f"{args.command} takes --omega-json or --m/--n/--delta, not both")
         return OmegaSpec.from_json(_load_json_arg(args.omega_json))
-    if args.m is not None:
+    if _mnd_given(args):
         return _params_from(args).omega
     if default is None:
         raise ValueError(f"{args.command} needs --m/--n/--delta or --omega-json")
@@ -183,7 +192,7 @@ def _elements(*texts):
 def cmd_reduce(args):
     (el,) = _elements(args.element)
     omega = _omega_from(args)
-    if args.affine or args.m is None:
+    if args.affine or not _mnd_given(args):
         out = affine.reduce(el, omega)
     else:
         out = cyclotomic.cyclo_reduce(el, _params_from(args))
@@ -193,7 +202,7 @@ def cmd_reduce(args):
 def cmd_multiply(args):
     x, y = _elements(args.x, args.y)
     out = affine.multiply(x, y, _omega_from(args))
-    if args.m is not None and not args.affine:
+    if _mnd_given(args) and not args.affine:
         out = cyclotomic.cyclo_reduce(out, _params_from(args))
     return _emit(element_to_json(out))
 
@@ -232,7 +241,8 @@ def cmd_struct_consts(args):
 
 
 def cmd_wseries(args):
-    _check_range("--k", args.k, 0, MAX_WSERIES_K)
+    if args.i in MAX_WSERIES_K:  # w_coeff refuses any other --i before any work
+        _check_range(f"--k at --i {args.i}", args.k, 0, MAX_WSERIES_K[args.i])
     poly = affine.w_coeff(args.seq, args.i, args.k, _omega_from(args))
     return _emit({"poly": str(poly)})
 
@@ -296,10 +306,10 @@ def cmd_verify_s8(args):
     A = args.seq
     _check_range("--max-deg", args.max_deg, 0, MAX_S8_DEG)
     if args.N is not None:
-        if (args.m, args.n, args.delta) != (None, None, None):
+        if _mnd_given(args):
             raise ValueError("verify-s8 takes --N (trivial) or --m/--n/--delta, not both")
         ctx = glrep.GlContext.trivial(args.N)
-    elif args.m is not None:
+    elif _mnd_given(args):
         ctx = glrep.GlContext.parabolic(*_mnd(args))
     else:
         raise ValueError("verify-s8 needs --N (trivial) or --m/--n/--delta")

@@ -6,9 +6,9 @@ expansions in u^{-1} whose coefficients are such polynomials. No floats
 anywhere.
 
 lincomb sums the rewriting engine's elements, including the level-two
-normal forms, and the gl_N oracle's vectors; clean normalizes an
-accumulator that a caller summed in place. MultiPoly (Fraction
-coefficients) keeps its own loops.
+normal forms, the gl_N oracle's vectors and the coefficients of every
+MultiPoly; clean normalizes an accumulator that a caller summed in place.
+A coefficient is an int when integral and a Fraction otherwise.
 
 Linear algebra is sparse throughout: one fraction-free elimination on int
 rows, _eliminate, is behind sparse_rank, rref and nullspace, which differ
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 import re
 
 
@@ -129,25 +130,26 @@ def clean(acc: dict) -> dict:
 
 
 class MultiPoly:
-    """Polynomial in y_1..y_nvars with Fraction coefficients.
+    """Polynomial in y_1..y_nvars with exact coefficients.
 
-    coeffs maps exponent tuples (length nvars) to nonzero Fractions.
-    Instances are treated as immutable; all operations return new objects.
+    coeffs maps exponent tuples (length nvars) to nonzero coefficients, an
+    int when integral and a Fraction otherwise; every coefficient dict is
+    summed by lincomb. Instances are treated as immutable; all operations
+    return new objects.
     """
 
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs=None):
         self.nvars = nvars
-        clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                c = rat(c)
-                if c:
-                    if len(exp) != nvars:
-                        raise ValueError("exponent length mismatch")
-                    clean[tuple(exp)] = c
-        self.coeffs = clean
+        self.coeffs = lincomb(((1, {tuple(exp): c for exp, c in (coeffs or {}).items()}),))
+        if any(len(exp) != nvars for exp in self.coeffs):
+            raise ValueError("exponent length mismatch")
+
+    def _new(self, coeffs) -> "MultiPoly":
+        p = MultiPoly.__new__(MultiPoly)
+        p.nvars, p.coeffs = self.nvars, coeffs
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -155,7 +157,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: rat(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MultiPoly":
@@ -163,11 +165,11 @@ class MultiPoly:
         if not 1 <= i <= nvars:
             raise ValueError(f"variable y{i} out of range 1..{nvars}")
         exp = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+        return cls(nvars, {exp: 1})
 
     @classmethod
     def monomial(cls, exp, c=1) -> "MultiPoly":
-        return cls(len(exp), {tuple(exp): rat(c)})
+        return cls(len(exp), {tuple(exp): c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -179,7 +181,7 @@ class MultiPoly:
         return all(all(e == 0 for e in exp) for exp in self.coeffs)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
+        return rat(self.coeffs.get((0,) * self.nvars, 0))
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention here."""
@@ -195,59 +197,33 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other) -> "MultiPoly":
+    def _operand(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.nvars, other)
+            return MultiPoly.const(self.nvars, other)
         if other.nvars != self.nvars:
             raise ValueError("variable-count mismatch")
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars, p.coeffs = self.nvars, out
-        return p
+        return other
 
-    def __neg__(self) -> "MultiPoly":
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return p
+    def __add__(self, other) -> "MultiPoly":
+        return self._new(lincomb(((1, self.coeffs), (1, self._operand(other).coeffs))))
 
     def __sub__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.nvars, other)
-        return self + (-other)
+        return self._new(lincomb(((1, self.coeffs), (-1, self._operand(other).coeffs))))
 
     def scale(self, c) -> "MultiPoly":
-        c = rat(c)
-        if not c:
-            return MultiPoly.zero(self.nvars)
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.coeffs = {e: c * v for e, v in self.coeffs.items()}
-        return p
+        return self._new(lincomb(((c, self.coeffs),)))
+
+    def __neg__(self) -> "MultiPoly":
+        return self.scale(-1)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction, str)):
             return self.scale(other)
-        if other.nvars != self.nvars:
-            raise ValueError("variable-count mismatch")
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars, p.coeffs = self.nvars, out
-        return p
+        other = self._operand(other).coeffs
+        return self._new(lincomb(
+            (c1, {tuple(map(add, e1, e2)): c2 for e2, c2 in other.items()})
+            for e1, c1 in self.coeffs.items()
+        ))
 
     __rmul__ = __mul__
 

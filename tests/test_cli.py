@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+from itertools import product
 import json
 import pkgutil
 import re
@@ -478,6 +479,123 @@ def test_two_parameter_sources_are_refused(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     error = json.loads(err)["error"]
     assert (code, out) == (1, "") and error == f"{argv[0]} takes --omega-json or --m/--n/--delta, not both"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("verify-relations", "--seq", "1,-1", "--n", "2"), "--m, --n and --delta must be given together"),
+        (("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", "--delta", "0"),
+         "--m, --n and --delta must be given together"),
+        (("reduce", "--element", EL, "--n", "2"), "--m, --n and --delta must be given together"),
+        (("verify-s8", "--seq", "1,-1", "--n", "2"), "--m, --n and --delta must be given together"),
+        (("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", *PARAMS, "--omega-json", ""),
+         "wseries takes --omega-json or --m/--n/--delta, not both"),
+    ],
+    ids=["verify-relations-n-alone", "wseries-delta-alone", "reduce-n-alone", "verify-s8-n-alone",
+         "wseries-empty-omega-json"],
+)
+def test_any_given_parameter_flag_selects_its_source(capsys, argv, error):
+    # one of --m/--n/--delta selects the triple, and an empty --omega-json is given
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (1, "") and json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("i, k", [(1, 64), (2, 64), (3, 32), (4, 24), (5, 20), (6, 18), (7, 16)])
+def test_wseries_k_bound_depends_on_i(capsys, i, k):
+    # the bound was measured on the alternating prefix, the costliest: there
+    # the largest admitted k takes about 4-5 s per process at (3,2,1). It is
+    # admitted here on the all-up prefix, which is cheap, and the next k is
+    # refused on the alternating one.
+    up = ",".join(["1"] * i + ["-1"])
+    code, out, _ = run_main(capsys, "wseries", "--seq", up, "--i", str(i), "--k", str(k), *PARAMS)
+    assert code == 0 and json.loads(out)["poly"]
+    argv = ("wseries", "--seq", "1,-1,1,-1,1,-1,1,-1", "--i", str(i), "--k", str(k + 1), *PARAMS)
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (1, "") and json.loads(err)["error"] == f"--k at --i {i} must lie in 0..{k}"
+
+
+# omega from the triple, or non-integral values as OmegaSpec JSON
+_SOURCES = {
+    "@220": PARAMS,
+    "@321": ("--m", "3", "--n", "2", "--delta", "1"),
+    "fractional omega": ("--omega-json", json.dumps(
+        {"kind": "list", "values": ["1/2", "-3/4", "5/3", "2", "-7/5", "11/6", "1/9", "4", "-13/8", "3/7"]}
+    )),
+}
+_POLYNOMIAL_CALLS = {
+    **{
+        f"wseries {seq} i={i} {name}": [
+            ("wseries", "--seq", seq, "--i", str(i), "--k", str(k), *flags) for k in range(9)
+        ]
+        for seq, positions in (("1,-1,1,-1,1", (1, 2, 3, 4)), ("1,1,-1,-1", (2,)))
+        for i in positions
+        for name, flags in _SOURCES.items()
+    },
+    **{
+        f"center-basis {k} strands": [
+            ("center-basis", "--seq=" + ",".join(map(str, A)), "--max-deg", "3", "--m", "4", "--n", "4", "--delta", "0")
+            for A in product((1, -1), repeat=k)
+        ]
+        for k in (2, 3, 4)
+    },
+    "center-test": [
+        ("center-test", "--poly=" + poly, "--seq", seq, *PARAMS)
+        for poly, seq in (
+            ("-1/2*y1-1/2*y2", "1,-1"),
+            ("1/2*y1^2+1/3*y2", "1,-1"),
+            ("(1/2*y1+1/2*y2)^2-3/4", "1,-1"),
+            ("-1/2*y1", "1,-1,1"),
+            ("2/3*(y1+y2+y3)", "1,1,-1"),
+        )
+    ],
+    "qcancel": [
+        ("qcancel", "--poly=" + poly, "--pair", pair)
+        for poly, pair in (
+            ("-1/2*y1", "1,2"),
+            ("-1/2*y1+1/2*y2", "1,2"),
+            ("1/2*y1+1/2*y2+3/4", "1,2"),
+            ("(1/2*y1+1/2*y2)^2*(y3-1/3)", "1,2"),
+            ("1/3*y1^2-1/3*y2^2+5/7*y3", "2,1"),
+        )
+    ],
+}
+
+
+# sha256 of the concatenated stdout of each group of calls, recorded when
+# MultiPoly still kept every coefficient as a Fraction
+_POLYNOMIAL_DIGESTS = {
+    "wseries 1,-1,1,-1,1 i=1 @220": "e85adec3c5806f95",
+    "wseries 1,-1,1,-1,1 i=1 @321": "08fd8212a9684b81",
+    "wseries 1,-1,1,-1,1 i=1 fractional omega": "f2c77aaa0424c69e",
+    "wseries 1,-1,1,-1,1 i=2 @220": "490885e1b9f4b8b6",
+    "wseries 1,-1,1,-1,1 i=2 @321": "1e56eb08394c5683",
+    "wseries 1,-1,1,-1,1 i=2 fractional omega": "f7d58efb47da1901",
+    "wseries 1,-1,1,-1,1 i=3 @220": "34eaf282f711dd73",
+    "wseries 1,-1,1,-1,1 i=3 @321": "187b48821a0c66da",
+    "wseries 1,-1,1,-1,1 i=3 fractional omega": "e0252660192ebc59",
+    "wseries 1,-1,1,-1,1 i=4 @220": "bdcb92d58c7047f3",
+    "wseries 1,-1,1,-1,1 i=4 @321": "81ebfefa52b41945",
+    "wseries 1,-1,1,-1,1 i=4 fractional omega": "4b5e115bbd3162aa",
+    "wseries 1,1,-1,-1 i=2 @220": "3f84d4d556d0eaed",
+    "wseries 1,1,-1,-1 i=2 @321": "11b7d282227d8d66",
+    "wseries 1,1,-1,-1 i=2 fractional omega": "2a3e9ac9689efd42",
+    "center-basis 2 strands": "1d563cb4e0706fff",
+    "center-basis 3 strands": "5770ee713a9aa2f7",
+    "center-basis 4 strands": "083dd8c46487792b",
+    "center-test": "367cc25385704af9",
+    "qcancel": "e29d357d03e051ca",
+}
+
+
+@pytest.mark.parametrize("label", _POLYNOMIAL_DIGESTS)
+def test_polynomial_bytes_are_pinned(capsys, label):
+    out = ""
+    for argv in _POLYNOMIAL_CALLS[label]:
+        code, text, _ = run_main(capsys, *argv)
+        assert code == 0
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == _POLYNOMIAL_DIGESTS[label]
 
 
 def test_readme_lists_every_subcommand_in_table_order():

@@ -38,6 +38,58 @@ def test_poly_scale_and_eval():
     assert p == MultiPoly(1, {(2,): 1, (1,): F(1, 2), (0,): -3})
 
 
+_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+def _reference_sum(parts):
+    """sum c * p over the (c, p) in parts, each p a dict exponent -> Fraction."""
+    acc = {}
+    for c, p in parts:
+        for e, v in p.items():
+            acc[e] = acc.get(e, F(0)) + F(c) * v
+    return {e: v for e, v in acc.items() if v}
+
+
+def _reference_product(p, q):
+    return _reference_sum(
+        (c1, {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in q.items()})
+        for e1, c1 in p.items()
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_poly_arithmetic_matches_a_fraction_reference(data):
+    # few exponents, so that sums cancel to zero often
+    nvars = data.draw(st.integers(0, 3))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), _coeffs, max_size=5)
+    a, b = data.draw(polys), data.draw(polys)
+    b.update({e: -v for e, v in list(a.items())[: data.draw(st.integers(0, 2))]})
+    c = data.draw(_coeffs)
+    extra = data.draw(st.integers(0, 2))
+    p, q = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    ra, rb = _reference_sum([(1, a)]), _reference_sum([(1, b)])
+    cases = [
+        (p, nvars, ra),
+        (p + q, nvars, _reference_sum([(1, ra), (1, rb)])),
+        (p - q, nvars, _reference_sum([(1, ra), (-1, rb)])),
+        (-p, nvars, _reference_sum([(-1, ra)])),
+        (p.scale(c), nvars, _reference_sum([(c, ra)])),
+        (c * p, nvars, _reference_sum([(c, ra)])),
+        (p * q, nvars, _reference_product(ra, rb)),
+        (p.extend(nvars + extra), nvars + extra, {e + (0,) * extra: v for e, v in ra.items()}),
+    ]
+    for got, got_nvars, want in cases:
+        assert got.nvars == got_nvars
+        assert {e: F(v) for e, v in got.coeffs.items()} == want
+        # the package-wide rule: an int when integral, a Fraction otherwise
+        assert all(type(v) is (int if F(v).denominator == 1 else F) for v in got.coeffs.values())
+    assert type(p.constant_term()) is F and p.constant_term() == ra.get((0,) * nvars, 0)
+
+
 def test_poly_str_roundtrip_via_parser():
     p = poly_parse("2*y1^2 - 1/3*y2 + 4", 2)
     q = poly_parse(str(p), 2)
