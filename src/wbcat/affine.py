@@ -65,11 +65,11 @@ from .diagrams import (
     DecoratedElement,
     Monomial,
     WBDiagram,
+    chain,
     compose_diagrams,
     identity_diagram,
     json_field,
     orseq,
-    sort_word,
     token_diagram,
     word_for_diagram,
     word_for_monomial,
@@ -249,22 +249,11 @@ def _fold_above(tokens, base: WBDiagram):
     return loops, cur
 
 
-def _chain(base: WBDiagram, word):
-    """Prefix diagrams base, t_1 base, t_2 t_1 base, ... of word over base."""
-    pres = [base]
-    for tok in word:
-        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
-        if loops:
-            raise AssertionError("prefix of a factorization closed a loop")
-        pres.append(nxt)
-    return tuple(pres)
-
-
 @lru_cache(maxsize=None)
 def _prefixes(D: WBDiagram):
     """(word, prefix diagrams P_0..P_L) of the canonical word of D."""
     word = word_for_diagram(D)
-    return word, _chain(identity_diagram(D.bottom), word)
+    return word, chain(identity_diagram(D.bottom), word)
 
 
 def _add_at(vec, p: int, k: int = 1):
@@ -309,43 +298,26 @@ def _arc_transport(D: WBDiagram, side: str, p: int):
     """(word, prefixes, cap) routing endpoint p of a far arc {p, q} on side
     ("t" or "b") to q + 1 or q - 1, next to q. Top: D = T o Dh with the arc
     of Dh at {q, q+1}, prefixes from Dh to D, cap None. Bottom: D = Dh o T
-    with the arc of Dh at {q-1, q}, prefixes from the identity to T, cap Dh."""
+    with the arc of Dh at {q-1, q}, prefixes from the identity to T, cap Dh.
+    T is the run of adjacent crossings between p and its destination, in the
+    order that meets p first; a crossing is its own inverse, so Dh is D with
+    the reversed word composed on T's side."""
     q = D.partner(side, p)[1]
     if abs(p - q) < 2:
         raise AssertionError("arc transport needs a far arc")
-    dest, shift = (q + 1, 1) if q < p else (q - 1, -1)
-    lo, hi = min(p, dest), max(p, dest)
-
-    def remap(j):
-        if j == p:
-            return dest
-        if lo <= j <= hi:
-            return j + shift
-        return j
-
-    n = D.n
-    ends = D.top if side == "t" else D.bottom
-    moved = [0] * n
-    arr = [0] * n  # arr[top slot - 1] = bottom slot - 1 of T
-    for j in range(1, n + 1):
-        moved[remap(j) - 1] = ends[j - 1]
-        if side == "t":
-            arr[j - 1] = remap(j) - 1
-        else:
-            arr[remap(j) - 1] = j - 1
-    word = tuple(sort_word(arr))
-    if not all(lo <= i < hi for _, i in word):
-        raise AssertionError("arc transport word leaves the arc")
-    pairs = [
-        tuple((s, remap(i) if s == side else i) for s, i in pair) for pair in D.pairs
-    ]
+    dest = q + 1 if q < p else q - 1
+    word = tuple(("c", i) for i in range(min(p, dest), max(p, dest)))
+    if (side == "t") == (q > p):
+        word = word[::-1]
     if side == "t":
-        pres, cap = _chain(WBDiagram(D.bottom, moved, pairs), word), None
-        loops, whole = 0, pres[-1]
+        loops, Dh = _fold_above(word[::-1], D)
+        pres, cap = chain(Dh, word), None
+        whole = pres[-1]
     else:
-        cap = WBDiagram(moved, D.top, pairs)
-        pres = _chain(identity_diagram(D.bottom), word)
-        loops, whole = compose_diagrams(cap, pres[-1])
+        pres = chain(identity_diagram(D.bottom), word)
+        loops, cap = compose_diagrams(D, chain(identity_diagram(pres[-1].top), word[::-1])[-1])
+        more, whole = compose_diagrams(cap, pres[-1])
+        loops += more
     if loops or whole != D:
         raise AssertionError("arc transport does not rebuild the diagram")
     return word, pres, cap

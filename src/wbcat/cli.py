@@ -34,7 +34,8 @@ Conventions
   count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 2.5-3.5 s
   per process; 1,-1,1 at (3,3,0), 13 s, is refused); giving --N with
   --m/--n/--delta is an error, and so is an object on which no identity
-  has an instance (one strand), which would check nothing. `young-enum` and
+  has an instance (one strand), which would check nothing; the same holds
+  for `verify-relations`. `young-enum` and
   `spectrum` take --m and --n in 1..MAX_WALK_MN = 32 (8 strands at m = n =
   32 take about 2 s and print 10 MB). A --poly text has at most
   MAX_POLY_CHARS = 2000 characters (parsing costs up to about 0.15 ms per
@@ -297,6 +298,8 @@ def cmd_verify_relations(args):
             empty.append(rid)
             continue
         (ok if affine.check_instances(A, insts, omega) else failed).append(rid)
+    if not ok and not failed:
+        raise ValueError(f"no relation has an instance on {list(A)}")
     return _emit(
         {"all_ok": not failed, "empty": sorted(empty), "failed": sorted(failed), "ok": sorted(ok)}
     )

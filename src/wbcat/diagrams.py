@@ -199,62 +199,54 @@ def _token_diagram(tok, A) -> WBDiagram:
 @lru_cache(maxsize=None)
 def compose_diagrams(upper: WBDiagram, lower: WBDiagram):
     """Stack `upper` on top of `lower`; return (loop_count, composite).
-    Memoized: equal calls return one shared diagram."""
+    Memoized: equal calls return one shared diagram.
+
+    One walk follows a strand through the glued middle, recording the middle
+    points it passes: from each outer point an open strand, then from each
+    unrecorded middle point a closed loop. A flag, not identity, tells the
+    pieces apart: upper and lower may be one shared diagram."""
     if lower.top != upper.bottom:
         raise ValueError("boundary mismatch in composition")
     n = lower.n
-    seen_mid = set()
+    seen = set()
 
-    def trace(start):
-        # start: ('B', i) final bottom or ('T', i) final top; returns the
-        # other endpoint of the strand through the glued middle boundary.
-        if start[0] == "B":
-            cur, in_lower = lower.partner("b", start[1]), True
-        else:
-            cur, in_lower = upper.partner("t", start[1]), False
+    def walk(side, j, in_lower):
+        # the outer point where the strand leaves, or None when it closes
         while True:
-            side, j = cur
-            if in_lower:
-                if side == "b":
-                    return ("B", j)
-                seen_mid.add(j)
-                cur, in_lower = upper.partner("b", j), False
-            else:
-                if side == "t":
-                    return ("T", j)
-                seen_mid.add(j)
-                cur, in_lower = lower.partner("t", j), True
+            side, j = (lower if in_lower else upper).partner(side, j)
+            if side == ("b" if in_lower else "t"):
+                return side, j
+            if j in seen:
+                return None
+            seen.add(j)
+            in_lower = not in_lower
+            side = "t" if in_lower else "b"
 
-    done = set()
-    pairs = []
-    for start in [("B", i) for i in range(1, n + 1)] + [("T", i) for i in range(1, n + 1)]:
-        if start in done:
-            continue
-        end = trace(start)
-        done.add(start)
-        done.add(end)
-        pairs.append(
-            (
-                ("b", start[1]) if start[0] == "B" else ("t", start[1]),
-                ("b", end[1]) if end[0] == "B" else ("t", end[1]),
-            )
-        )
-
+    pairs, ends = [], set()
+    for start in [("b", i) for i in range(1, n + 1)] + [("t", i) for i in range(1, n + 1)]:
+        if start not in ends:
+            end = walk(*start, start[0] == "b")
+            ends.add(end)
+            pairs.append((start, end))
     loops = 0
-    for j0 in range(1, n + 1):
-        if j0 in seen_mid:
-            continue
-        loops += 1
-        j, via_upper = j0, True
-        for _ in range(2 * n + 1):
-            seen_mid.add(j)
-            side, k = upper.partner("b", j) if via_upper else lower.partner("t", j)
-            j, via_upper = k, not via_upper
-            if j == j0 and via_upper:
-                break
-        else:
-            raise AssertionError("loop trace did not close")
+    for j in range(1, n + 1):
+        if j not in seen:
+            seen.add(j)
+            walk("b", j, False)
+            loops += 1
     return loops, WBDiagram(lower.bottom, upper.top, pairs)
+
+
+def chain(base: WBDiagram, word):
+    """Prefix diagrams base, t_1 base, t_2 t_1 base, ... of word over base,
+    composed as pure matchings; a closed loop is an error."""
+    pres = [base]
+    for tok in word:
+        loops, nxt = compose_diagrams(token_diagram(tok, pres[-1].top), pres[-1])
+        if loops:
+            raise AssertionError("prefix of a factorization closed a loop")
+        pres.append(nxt)
+    return tuple(pres)
 
 
 def enumerate_diagrams(A, B):
@@ -561,13 +553,7 @@ def word_for_diagram(D: WBDiagram):
         arr_top[dest[s - 1] - 1] = s - 1
     word.extend(sort_word(arr_top))
 
-    # refold as pure matchings and verify
-    cur = identity_diagram(D.bottom)
-    for tok in word:
-        loops, cur = compose_diagrams(token_diagram(tok, cur.top), cur)
-        if loops:
-            raise AssertionError("canonical word produced a loop")
-    if cur != D:
+    if chain(identity_diagram(D.bottom), word)[-1] != D:
         raise AssertionError("canonical word does not rebuild the diagram")
     return tuple(word)
 

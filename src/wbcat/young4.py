@@ -38,7 +38,13 @@ from functools import lru_cache
 
 from .diagrams import orseq, rt_counts
 
-_MODES = ("addable_above", "removable_above", "addable_below", "removable_below")
+# boxes() mode -> (slot of the step, action of the step)
+_MODES = {
+    "addable_above": (1, "add_above"),
+    "removable_below": (1, "remove_below"),
+    "addable_below": (-1, "add_below"),
+    "removable_above": (-1, "remove_above"),
+}
 
 
 def _profile_violation(b, m, n):
@@ -116,34 +122,31 @@ def base_diagram(m, n, delta) -> FourYoung:
     return FourYoung(m, n, delta, (-delta,) * m + (0,) * n)
 
 
-def _content_above(i, h, m, n) -> Fraction:
-    return Fraction(2 * (h - i) + m + n, 2)
-
-
-def _content_below(i, d, m, n) -> Fraction:
-    return Fraction(2 * (d + i - 1) - (m + n), 2)
+def _moves(b, a, m, n):
+    """(action, column, content, new profile) of every walk step of slot a
+    from the admissible profile b, in column order. A step moves one column
+    by a; its box sits above the axis at height max(b_i, new) when that is
+    positive, else below it at depth -min(b_i, new)."""
+    out = []
+    for k, bk in enumerate(b):
+        new = bk + a
+        if not _keeps_admissible(b, k, new, m, n):
+            continue
+        act = "add" if abs(new) > abs(bk) else "remove"
+        if max(bk, new) > 0:
+            side, content = "above", Fraction(2 * (max(bk, new) - k - 1) + m + n, 2)
+        else:
+            side, content = "below", Fraction(2 * (k - min(bk, new)) - (m + n), 2)
+        out.append((f"{act}_{side}", k + 1, content, b[:k] + (new,) + b[k + 1 :]))
+    return out
 
 
 def boxes(Y: FourYoung, mode: str):
     """(column, shifted content) pairs whose add/remove keeps admissibility."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    m, n, b = Y.m, Y.n, Y.b
-    out = []
-    for i in range(1, m + n + 1):
-        bi = b[i - 1]
-        if mode == "addable_above":
-            if bi >= 0 and _keeps_admissible(b, i - 1, bi + 1, m, n):
-                out.append((i, _content_above(i, bi + 1, m, n)))
-        elif mode == "removable_above":
-            if bi > 0 and _keeps_admissible(b, i - 1, bi - 1, m, n):
-                out.append((i, _content_above(i, bi, m, n)))
-        elif mode == "addable_below":
-            if bi <= 0 and _keeps_admissible(b, i - 1, bi - 1, m, n):
-                out.append((i, _content_below(i, 1 - bi, m, n)))
-        elif bi < 0 and _keeps_admissible(b, i - 1, bi + 1, m, n):
-            out.append((i, _content_below(i, -bi, m, n)))
-    return out
+    a, action = _MODES[mode]
+    return [(col, c) for act, col, c, _ in _moves(Y.b, a, Y.m, Y.n) if act == action]
 
 
 class FourYoungSeq:
@@ -174,22 +177,6 @@ class FourYoungSeq:
         return f"FourYoungSeq(A={self.A}, steps={self.steps})"
 
 
-def _step_options(Y: FourYoung, a: int):
-    """(action, column, content, new profile) for one walk step of slot a."""
-    if a == 1:
-        pairs = (("add_above", "addable_above"), ("remove_below", "removable_below"))
-    else:
-        pairs = (("add_below", "addable_below"), ("remove_above", "removable_above"))
-    out = []
-    for action, mode in pairs:
-        shift = 1 if a == 1 else -1
-        for col, content in boxes(Y, mode):
-            newb = Y.b[: col - 1] + (Y.b[col - 1] + shift,) + Y.b[col:]
-            out.append((action, col, content, newb))
-    out.sort(key=lambda rec: (rec[1], rec[0]))
-    return out
-
-
 def enumerate_Y(A, m, n, delta):
     """All legal walks for A.  Full-width strips (m, n >= r+t) give counts
     2, 6, 20 at r+t = 1, 2, 3 — see the module docstring for why the
@@ -210,7 +197,7 @@ def enumerate_Y(A, m, n, delta):
         if k == len(A):
             walks.append(FourYoungSeq(A, diagrams, steps))
             return
-        for action, col, content, newb in _step_options(diagrams[-1], A[k]):
+        for action, col, content, newb in _moves(diagrams[-1].b, A[k], m, n):
             Y = FourYoung._trusted(m, n, delta, newb)
             rec(diagrams + [Y], steps + [(action, col, content)])
 

@@ -603,3 +603,51 @@ def test_readme_lists_every_subcommand_in_table_order():
     listed = re.findall(r"`([a-z0-9-]+)`", re.search(r"The full list: (.*?)\.", readme, re.S)[1])
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
     assert listed == list(subparsers.choices) == list(SUBCOMMANDS)
+
+
+def test_verify_relations_refuses_an_object_it_cannot_check(capsys):
+    # no relation has an instance on one strand: an empty "ok" is not a pass
+    for seq in ("--seq=1", "--seq=-1"):
+        code, out, err = run_main(capsys, "verify-relations", seq)
+        assert (code, out) == (1, "") and "no relation has an instance" in json.loads(err)["error"]
+
+
+def test_basis_bytes_are_pinned(capsys):
+    # sha256 recorded before compose_diagrams became one strand walk
+    code, out, _ = run_main(capsys, "basis", "--seq", "1,-1", *PARAMS)
+    assert code == 0 and json.loads(out)["count"] == 8
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "92790508fc4033ab"
+
+
+def test_reduce_reads_the_element_from_a_file(capsys, tmp_path):
+    path = tmp_path / "element.json"
+    path.write_text(_element(), encoding="utf-8")
+    code, from_file, _ = run_main(capsys, "reduce", "--element", f"@{path}", *PARAMS)
+    assert code == 0
+    assert run_main(capsys, "reduce", "--element", _element(), *PARAMS)[1] == from_file
+    code, out, err = run_main(capsys, "reduce", "--element", f"@{tmp_path / 'missing.json'}", *PARAMS)
+    assert (code, out) == (1, "") and "No such file" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("center-test", "--seq", "1,-1", "--poly", "y3", *PARAMS), "more strands than the object"),
+        (("dim", "--seq", "1,x", *PARAMS), "bad orientation sequence '1,x'"),
+        (("qcancel", "--poly", "y1", "--pair", "1"), "bad pair '1'"),
+        (("verify-s8", "--seq", "1,-1"), "needs --N (trivial) or --m/--n/--delta"),
+    ],
+    ids=["center-test-variable", "seq-entry", "qcancel-pair", "verify-s8-no-source"],
+)
+def test_malformed_argument_is_an_engine_error(capsys, argv, error):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (1, "") and error in json.loads(err)["error"]
+
+
+def test_seq_starting_with_a_down_strand_needs_an_equals_sign(capsys):
+    # argparse reads a separate "-1,1" as a flag: a usage error, not a value
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--seq", "-1,1", *PARAMS])
+    assert exc.value.code == 2 and "--seq: expected one argument" in capsys.readouterr().err
+    code, out, _ = run_main(capsys, "dim", "--seq=-1,1", *PARAMS)
+    assert code == 0 and out == '{"dim":8}\n'

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+
+import wbcat
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -107,6 +109,48 @@ def test_compose_associative_exhaustive_rt2():
                 l3, YZ = compose_diagrams(Y, Z)
                 l4, R2 = compose_diagrams(X, YZ)
                 assert R1 == R2 and l1 + l2 == l3 + l4
+
+
+def _glued_reference(upper, lower):
+    """(loops, outer pairs) of upper stacked on lower, from the closed and
+    open components of the glued graph: points ("b", i) below, ("m", i) in
+    the middle and ("t", i) above, joined by the arcs of both pieces."""
+    rename = [{"b": "b", "t": "m"}, {"b": "m", "t": "t"}]
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for names, piece in zip(rename, (lower, upper)):
+        for (s1, i), (s2, j) in piece.pairs:
+            root[find((names[s1], i))] = find((names[s2], j))
+    comps = {}
+    for x in list(root):
+        comps.setdefault(find(x), []).append(x)
+    loops = sum(all(side == "m" for side, _ in c) for c in comps.values())
+    pairs = {tuple(sorted(pt for pt in c if pt[0] != "m")) for c in comps.values()}
+    return loops, pairs - {()}
+
+
+def test_compose_matches_the_glued_graph_reference():
+    wbcat.clear_caches()  # a memoized equal pair would hide an identity bug
+    objs = [A for n in range(1, 4) for r in range(n + 1) for A in all_orseqs(r, n - r)]
+    # self-compositions D.D first, with upper and lower one shared diagram
+    selfs = [D for n in range(1, 5) for r in range(n + 1) for A in all_orseqs(r, n - r)
+             for D in enumerate_diagrams(A, A)]
+    cases = [(D, D) for D in selfs]
+    for A, B, C in product(objs, repeat=3):
+        if len(A) == len(B) == len(C) and A.count(1) == B.count(1) == C.count(1):
+            cases += product(enumerate_diagrams(B, C), enumerate_diagrams(A, B))
+    # composable triples on 1, 2, 3 strands: 2, 10 and 56, with n!^2 pairs each
+    assert len(selfs) == 442 and len(cases) - len(selfs) == 2 * 1 + 10 * 4 + 56 * 36
+    for upper, lower in cases:
+        loops, R = compose_diagrams(upper, lower)
+        assert (R.bottom, R.top) == (lower.bottom, upper.top)
+        assert (loops, set(R.pairs)) == _glued_reference(upper, lower)
 
 
 def test_is_regular():
