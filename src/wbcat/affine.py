@@ -419,10 +419,9 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 
 def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
+    # the cap-cup exists: apply_element_token built token_diagram first
     D = m.diagram
     B = D.top
-    if B[x - 1] == B[x]:
-        raise ValueError("generator does not exist for this object")
     if D.partner("t", x) == ("t", x + 1):
         # contraction: the cap closes over the top arc {x, x+1}
         k = m.eta[x - 1]

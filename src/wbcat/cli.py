@@ -6,7 +6,8 @@ Conventions
 * exit code 0 on success, 1 on engine errors (bad input values, violated
   preconditions, arithmetic faults, failed internal checks, runaway
   recursion: a JSON {"error": ...} object on stderr, never a traceback),
-  2 on usage errors (unknown flags/subcommands);
+  2 on usage errors (unknown flags/subcommands); a warning is one JSON
+  {"warning": ...} line on stderr;
 * every algebraic number is emitted as an exact rational string; counts,
   dimensions and indices are plain integers;
 * JSON keys are sorted and separators fixed, so reruns are byte-identical;
@@ -69,6 +70,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import affine, cyclotomic, glrep, young4
@@ -425,8 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_):
+    return json.dumps({"warning": str(message)}) + "\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if "seq" in args:
             args.seq = _parse_seq(args.seq)
@@ -434,6 +441,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, ArithmeticError, RecursionError, AssertionError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

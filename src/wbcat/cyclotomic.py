@@ -37,6 +37,7 @@ from .diagrams import (
     generator,
     identity_diagram,
     orseq,
+    permutation_diagram,
     rt_counts,
 )
 from .exact import LaurentSeries, MultiPoly, Record, lincomb, nullspace, series_div
@@ -277,11 +278,21 @@ def q_cancellation(x: MultiPoly, i: int, j: int) -> bool:
 
 
 def endomorphism_generators(A):
-    """Generator elements of End(A): the dots, and s_i or e_i per position."""
+    """Generator elements of End(A): the dots, s_i or e_i per position, and
+    the swap of each two like-oriented strands that a strand of the other
+    orientation separates, such as strands 1 and 3 of (1,-1,1). The adjacent
+    generators alone miss those swaps. With them the swaps generate every
+    orientation-preserving permutation, which carries the e_i to every
+    cap-cup of A."""
     A = orseq(A)
     gens = [generator("y", A, i) for i in range(1, len(A) + 1)]
     for i in range(1, len(A)):
         gens.append(generator("s" if A[i - 1] == A[i] else "e", A, i))
+    for i, j in _orientation_transpositions(A):
+        if j > i + 1:
+            dest = list(range(1, len(A) + 1))
+            dest[i - 1], dest[j - 1] = j, i
+            gens.append(DecoratedElement.from_monomial(Monomial(permutation_diagram(A, dest))))
     return gens
 
 

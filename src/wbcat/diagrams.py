@@ -1,11 +1,11 @@
 """Oriented walled-Brauer diagrams and dotted monomials.
 
 Objects are orientation sequences A of +1/-1 entries. A diagram A -> B is a
-perfect matching on the 2n boundary points (n bottom, n top) such that
-through strands preserve orientation and horizontal arcs join opposite
-orientations. Composition stacks vertically, bottom first: in X*Y the
-diagram Y sits below X, and closed loops produced by stacking are removed
-and counted (the caller multiplies by omega_0 per loop).
+perfect matching on the 2n boundary points (n bottom, n top) in which every
+strand runs from a source to a sink, the one rule of sources_and_sinks.
+Composition stacks vertically, bottom first: in X*Y the diagram Y sits below
+X, and closed loops produced by stacking are removed and counted (the caller
+multiplies by omega_0 per loop).
 
 A monomial is a diagram with dot counts gamma on the bottom boundary and
 eta on the top boundary, meaning y^eta . D . y^gamma. It is *regular* when
@@ -67,6 +67,15 @@ def swap_seq(A, i: int) -> tuple:
 # Diagrams. Points are ('b', i) / ('t', i), 1-based.
 
 
+def sources_and_sinks(A, B) -> tuple:
+    """(sources, sinks) of the diagrams A -> B, each in point order. A strand
+    runs from a source (a bottom +1 or top -1 point) to a sink (a top +1 or
+    bottom -1 point); there are n of each."""
+    flow = [(("b", i), a) for i, a in enumerate(A, 1)]
+    flow += [(("t", i), -b) for i, b in enumerate(B, 1)]
+    return [p for p, f in flow if f == 1], [p for p, f in flow if f == -1]
+
+
 class WBDiagram:
     """Perfect matching between bottom object `bottom` and top object `top`."""
 
@@ -87,15 +96,12 @@ class WBDiagram:
             partner[q] = p
         if len(partner) != 2 * n or not all(1 <= i <= n for _, i in partner):
             raise ValueError(f"arcs must pair up the points b1..b{n}, t1..t{n}: {canon}")
-        for (s1, i1), (s2, i2) in canon:
-            o1 = bottom[i1 - 1] if s1 == "b" else top[i1 - 1]
-            o2 = bottom[i2 - 1] if s2 == "b" else top[i2 - 1]
-            if s1 == s2:
-                if o1 == o2:
-                    raise ValueError(f"horizontal arc with equal orientations at {(s1,i1)},{(s2,i2)}")
-            else:
-                if o1 != o2:
-                    raise ValueError(f"through strand changes orientation at {(s1,i1)},{(s2,i2)}")
+        sources = set(sources_and_sinks(bottom, top)[0])
+        for p, q in canon:
+            if (p in sources) == (q in sources):
+                arc = f"{p[0]}{p[1]}-{q[0]}{q[1]}"
+                ends = "sources" if p in sources else "sinks"
+                raise ValueError(f"arc {arc} joins two {ends}, not a source to a sink")
         self.bottom = bottom
         self.top = top
         self.pairs = canon
@@ -188,8 +194,6 @@ def _token_diagram(tok, A) -> WBDiagram:
         pairs = thru + [(("b", i), ("t", i + 1)), (("b", i + 1), ("t", i))]
         return WBDiagram(A, swap_seq(A, i), pairs)
     if kind in ("e", "eh"):
-        if A[i - 1] == A[i]:
-            raise ValueError("generator does not exist for this object")
         pairs = thru + [(("b", i), ("b", i + 1)), (("t", i), ("t", i + 1))]
         top = A if kind == "e" else swap_seq(A, i)
         return WBDiagram(A, top, pairs)
@@ -250,37 +254,13 @@ def chain(base: WBDiagram, word):
 
 
 def enumerate_diagrams(A, B):
-    """All diagrams A -> B; there are exactly n! of them."""
+    """All diagrams A -> B, sorted by their canonical pairs: one per
+    bijection from the n sources to the n sinks, so n! of them."""
     A = orseq(A)
     B = orseq(B)
-    if rt_counts(A) != rt_counts(B):
-        raise ValueError("mismatched (r,t)")
-    n = len(A)
-    points = [("b", i) for i in range(1, n + 1)] + [("t", i) for i in range(1, n + 1)]
-
-    def ori(pt):
-        side, i = pt
-        return A[i - 1] if side == "b" else B[i - 1]
-
-    def compatible(p, q):
-        if p[0] == q[0]:
-            return ori(p) != ori(q)
-        return ori(p) == ori(q)
-
-    out = []
-
-    def rec(free, pairs):
-        if not free:
-            out.append(WBDiagram(A, B, pairs))
-            return
-        p = free[0]
-        for idx in range(1, len(free)):
-            q = free[idx]
-            if compatible(p, q):
-                rec(free[1:idx] + free[idx + 1 :], pairs + [(p, q)])
-
-    rec(points, [])
-    return out
+    sources, sinks = sources_and_sinks(A, B)
+    ds = [WBDiagram(A, B, zip(sources, perm)) for perm in permutations(sinks)]
+    return sorted(ds, key=lambda D: D.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +442,11 @@ def generator(kind: str, A, i: int) -> DecoratedElement:
     return DecoratedElement.from_monomial(Monomial(token_diagram(tok, A)))
 
 
-def cyclotomic_monomials(A, B=None):
-    """All regular monomials A -> B with binary dots: 2^n n! of them."""
+def cyclotomic_monomials(A):
+    """All regular monomials A -> A with binary dots: 2^n n! of them."""
     A = orseq(A)
-    B = orseq(B) if B is not None else A
     out = []
-    for D in enumerate_diagrams(A, B):
+    for D in enumerate_diagrams(A, A):
         gfree = [i for i in range(1, D.n + 1) if D.bottom_kind(i) != "arcL"]
         efree = [i for i in range(1, D.n + 1) if D.top_kind(i) == "arcL"]
         free = [("g", i) for i in gfree] + [("e", i) for i in efree]

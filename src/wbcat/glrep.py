@@ -57,7 +57,7 @@ from .diagrams import (
     swap_seq,
     word_for_monomial,
 )
-from .exact import Record, clean, lincomb, rref, sparse_rank
+from .exact import Record, clean, lincomb, nullspace, sparse_rank
 from .relations import _OFF  # position i, strand j off it
 
 
@@ -461,9 +461,9 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
     """Monic minimal polynomial of y_1 on the degree <= 2 part of M (x) V^{or}.
 
     Returned as a coefficient tuple, lowest degree first, last entry 1.
-    Degree d = 1, then 2: solve y^d v = -sum_{j<d} c_j y^j v on every
-    coordinate of every test vector v, one row [y^0 v .. y^{d-1} v | -y^d v]
-    per key, accepted when the reduced left block is the identity.
+    For the least d in (1, 2) at which the rows [y^0 v .. y^d v], one per key
+    of every test vector v, have a nonzero nullspace, that nullspace is one
+    vector with 1 at column d: the monic coefficients.
     """
     if ctx.kind != "parabolic":
         raise ValueError("minimal polynomial probe needs the parabolic module")
@@ -473,19 +473,13 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
         data.append((v, v1, y_apply(v1, 1)))
     for d in (1, 2):
         rows = [
-            dict(enumerate([w.terms.get(key, 0) for w in ws[:d]] + [-ws[d].terms.get(key, 0)]))
+            dict(enumerate(w.terms.get(key, 0) for w in ws[: d + 1]))
             for ws in data
             for key in set().union(*(w.terms for w in ws[: d + 1]))
         ]
-        sol = rref(rows)
-        if [next(iter(r)) for r in sol] != list(range(d)):  # pivots 0..d-1: the identity
-            continue
-        cs = [r.get(d, 0) for r in sol]
-        # the system is overdetermined: the residual must vanish everywhere
-        for ws in data:
-            if lincomb([(1, ws[d].terms)] + [(c, w.terms) for c, w in zip(cs, ws)]):
-                raise ArithmeticError(f"degree-{d} solution fails on a test vector")
-        return (*map(Fraction, cs), Fraction(1))
+        null = nullspace(rows, d + 1)
+        if null:
+            return tuple(Fraction(null[0].get(k, 0)) for k in range(d + 1))
     raise ArithmeticError("no monic quadratic annihilates the test span")
 
 

@@ -31,6 +31,7 @@ from wbcat.exact import (
     LaurentSeries,
     MultiPoly,
     nullspace,
+    poly_parse,
     series_mul,
     series_star,
     sparse_rank,
@@ -195,9 +196,20 @@ def test_criterion_5_cyclotomic_factoring():
 
 
 def test_criterion_6_centre():
-    p = make_params(2, 2, 0)
-    A = orseq((1, -1))
-    exps = cyclotomic._exponents_up_to(2, 3)
+    _central_set_is_the_invariant_qc_set(make_params(2, 2, 0), (1, -1))
+    # strands 1 and 3 are swapped by no adjacent generator of (1,-1,1)
+    _central_set_is_the_invariant_qc_set(make_params(3, 3, 0), (1, -1, 1))
+    A, p = orseq((1, -1)), make_params(2, 2, 0)
+    # spot checks through the public predicates
+    assert cyclotomic.is_central(MultiPoly.var(2, 1) + MultiPoly.var(2, 2), A, p)
+    assert not cyclotomic.is_central(MultiPoly.var(2, 1), A, p)
+    lopsided = poly_parse("y1*y2*y3+y2*y3^2+y2^2*y3+y1*y3^2", 3)
+    assert not cyclotomic.is_central(lopsided, (1, -1, 1), make_params(3, 3, 0))
+
+
+def _central_set_is_the_invariant_qc_set(p, A):
+    A = orseq(A)
+    exps = cyclotomic._exponents_up_to(len(A), 3)
     gens = cyclotomic.endomorphism_generators(A)
     comms, keys = [], set()
     for e in exps:
@@ -217,12 +229,9 @@ def test_criterion_6_centre():
     central = nullspace(rows, len(exps))
     invariant_qc = cyclotomic.center_basis(A, p, 3)
     qc_vectors = [dict(enumerate(q.coeffs.get(e, F(0)) for e in exps)) for q in invariant_qc]
-    assert len(central) == len(qc_vectors), (len(central), len(qc_vectors))
+    assert len(central) == len(qc_vectors), (A, len(central), len(qc_vectors))
     assert sparse_rank(central + qc_vectors) == len(central)
-    # spot checks through the public predicates
-    assert cyclotomic.is_central(MultiPoly.var(2, 1) + MultiPoly.var(2, 2), A, p)
-    assert not cyclotomic.is_central(MultiPoly.var(2, 1), A, p)
-    print(f"criterion 6 PASS: central set == invariant Q-cancellation set (dim {len(central)})")
+    print(f"criterion 6 PASS on {A}: central set == invariant Q-cancellation set (dim {len(central)})")
 
 
 def test_criterion_7_w_series_calculus():

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,6 +349,35 @@ def test_center_commands(capsys):
     assert code == 0 and json.loads(out) == {"basis": ["1", "y1+y2"]}
     code, out, _ = run_main(capsys, "center-test", "--poly", "y1", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 0 and json.loads(out) == {"central": False}
+
+
+def test_center_test_checks_the_swap_of_separated_strands(capsys):
+    # no adjacent generator of (1,-1,1) swaps strands 1 and 3, and this
+    # polynomial is not symmetric in y1 and y3
+    mnd = ("--m", "3", "--n", "3", "--delta", "0")
+    poly = "y1*y2*y3+y2*y3^2+y2^2*y3+y1*y3^2"
+    code, out, _ = run_main(capsys, "center-test", "--poly", poly, "--seq", "1,-1,1", *mnd)
+    assert code == 0 and out == '{"central":false}\n'
+    code, out, _ = run_main(capsys, "center-test", "--poly", "y1+y2+y3", "--seq", "1,-1,1", *mnd)
+    assert code == 0 and out == '{"central":true}\n'
+
+
+def test_warnings_are_json_lines_on_stderr(capsys):
+    cases = [
+        (("young-enum", "--seq", "1,1,-1,-1,1", "--m", "4", "--n", "4", "--delta", "2"),
+         '{"warning": "strip narrower than the walk length (m or n < r+t); '
+         'boxes get truncated and counts shrink"}\n'),
+        (("struct-consts", "--seq=-1,-1", "--m", "2", "--n", "2", "--delta", "0"),
+         '{"warning": "basis hypotheses violated (need m, n >= r+t and r >= 1); '
+         'the monomial list may not be linearly independent"}\n'),
+    ]
+    for args, line in cases:
+        r = subprocess.run([sys.executable, "-m", "wbcat.cli", *args], capture_output=True, text=True)
+        assert r.returncode == 0 and r.stderr == line and r.stdout
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="strip narrower"):
+        assert main(list(cases[0][0])) == 0
+    assert warnings.formatwarning is before  # main puts the formatter back
 
 
 def test_wseries(capsys):

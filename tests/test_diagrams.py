@@ -26,10 +26,13 @@ from wbcat.diagrams import (
     monomial_from_json,
     monomial_to_json,
     permutation_diagram,
+    sources_and_sinks,
     token_diagram,
     word_for_diagram,
     word_for_monomial,
 )
+from wbcat import affine
+from wbcat.affine import OmegaSpec
 from wbcat.exact import lincomb
 from wbcat.glrep import GlContext, ModuleVector, zero_vector
 
@@ -96,6 +99,106 @@ def test_enumerate_counts_all_orderings_rt3():
     for A in all_orseqs(2, 1):
         for B in all_orseqs(2, 1):
             assert len(enumerate_diagrams(A, B)) == 6
+
+
+def _objects(max_n):
+    return [A for n in range(1, max_n + 1) for r in range(n + 1) for A in all_orseqs(r, n - r)]
+
+
+def _object_pairs(max_n):
+    objs = _objects(max_n)
+    return [(A, B) for A in objs for B in objs if len(A) == len(B) and sum(A) == sum(B)]
+
+
+def _two_case_rule(A, B, pairs):
+    # the orientation test of the recursive matcher: a through strand keeps
+    # its orientation, a horizontal arc joins opposite ones
+    def ori(pt):
+        return A[pt[1] - 1] if pt[0] == "b" else B[pt[1] - 1]
+
+    return all((ori(p) != ori(q)) == (p[0] == q[0]) for p, q in pairs)
+
+
+def _recursive_matcher(A, B):
+    """The diagrams A -> B in the order of the former recursive matcher: pair
+    the smallest free point with each later compatible partner in turn."""
+    n = len(A)
+    out = []
+
+    def rec(free, pairs):
+        if not free:
+            out.append(WBDiagram(A, B, pairs))
+            return
+        p = free[0]
+        for idx in range(1, len(free)):
+            if _two_case_rule(A, B, [(p, free[idx])]):
+                rec(free[1:idx] + free[idx + 1 :], pairs + [(p, free[idx])])
+
+    rec([("b", i) for i in range(1, n + 1)] + [("t", i) for i in range(1, n + 1)], [])
+    return out
+
+
+def test_enumerate_matches_the_recursive_matcher():
+    # same diagrams in the same order on all 350 object pairs of 1-5 strands
+    cases = _object_pairs(5)
+    assert len(cases) == 350
+    total = 0
+    for A, B in cases:
+        got = enumerate_diagrams(A, B)
+        assert [D.pairs for D in got] == [D.pairs for D in _recursive_matcher(A, B)]
+        total += len(got)
+    assert total == 32054
+
+
+def test_sources_and_sinks():
+    assert sources_and_sinks((1, -1), (-1, 1)) == (
+        [("b", 1), ("t", 1)],
+        [("b", 2), ("t", 2)],
+    )
+    for A, B in _object_pairs(4):
+        sources, sinks = sources_and_sinks(A, B)
+        assert len(sources) == len(sinks) == len(A)
+        assert sorted(sources + sinks) == sorted(
+            [("b", i) for i in range(1, len(A) + 1)] + [("t", i) for i in range(1, len(A) + 1)]
+        )
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield []
+        return
+    p = points[0]
+    for idx in range(1, len(points)):
+        for rest in _perfect_matchings(points[1:idx] + points[idx + 1 :]):
+            yield [(p, points[idx])] + rest
+
+
+def test_diagram_accepts_exactly_the_two_case_rule():
+    # every perfect matching of the 2n points, object pairs of 1-3 strands
+    accepted = refused = 0
+    for A, B in _object_pairs(3):
+        n = len(A)
+        points = [("b", i) for i in range(1, n + 1)] + [("t", i) for i in range(1, n + 1)]
+        for pairs in _perfect_matchings(points):
+            if _two_case_rule(A, B, pairs):
+                assert WBDiagram(A, B, pairs).pairs == tuple(sorted(pairs))
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="not a source to a sink"):
+                    WBDiagram(A, B, pairs)
+                refused += 1
+    assert accepted == 2 * 1 + 6 * 2 + 20 * 6
+    assert accepted + refused == 2 * 1 + 6 * 3 + 20 * 15
+
+
+def test_cap_cup_on_equal_orientations_is_refused():
+    omega = OmegaSpec.trivial(2)
+    for kind in ("e", "eh"):
+        for A in ((1, 1), (-1, -1), (1, 1, -1)):
+            with pytest.raises(ValueError):
+                token_diagram((kind, 1), A)
+            with pytest.raises(ValueError):
+                affine.element_for_word([(kind, 1)], A, omega)
 
 
 def test_compose_associative_exhaustive_rt2():
