@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     ap.add_argument("--kmax", type=int, default=4)
     ap.add_argument("--check-rank", action="store_true",
                     help="also compute the representation rank "
-                         "(3-6 s per ordering at k = 4)")
+                         "(about 1.5-4 s per ordering at k = 4)")
     args = ap.parse_args(argv)
     p = make_params(args.m, args.n, args.delta)
     ok = True

@@ -29,7 +29,7 @@ Conventions
   expected to give full rank. Per process: 3 strands at m + n = 8 take
   under 1 s, 4 strands at m + n = 4 up to about 7 s (at m + n = 5, 15-45 s),
   and (4,4,delta), the one 4-strand case inside the hypotheses, about
-  4.5-6 s. `verify-s8` checks its identities on C(mn+d, d) N^k spanning
+  2-4.5 s. `verify-s8` checks its identities on C(mn+d, d) N^k spanning
   vectors (N^k on the trivial module) at d = --max-deg in 0..MAX_S8_DEG =
   4; there N (--N, or --m + --n) lies in 1..MAX_S8_N = 16 and the vector
   count times k^3 is at most MAX_S8_WORK = 50,000 (up to about 2.5-3.5 s

@@ -509,12 +509,16 @@ def faithfulness_rank(A, params) -> int:
 
     `params` provides m, n, delta (the cyclotomic parameter triple). One row
     per regular monomial; one int-numbered column per pair (beta, key). The
-    rows are first built and ranked on the inputs that are first of their
-    S_m x S_n orbit (levi_inputs). A column subset has rank at most the full
-    rank, which is at most the number of rows, so a full rank there is the
-    answer. Otherwise the remaining inputs are added to the same rows and
-    the whole matrix is ranked. Why the first pass is expected to suffice:
-    docs/decisions.md.
+    rows are first built on the inputs that are first of their S_m x S_n
+    orbit (levi_inputs). Where m, n >= k, those with the most far slots
+    come first (a stable sort), and the rows are ranked after inputs 1, 2,
+    4, 8, ... and after the last; elsewhere, where a full rank is not
+    expected, they are ranked once after the last. A column subset has rank
+    at most the full rank, which is at most the number of rows, so a full
+    rank at any of these checkpoints is the answer. Otherwise the remaining
+    inputs are added to the same rows and the whole matrix is ranked once.
+    Why the first pass is expected to suffice, and why this order and these
+    checkpoints: docs/decisions.md.
 
     The basis words share most of their prefixes, so each input goes
     through their word_trie once (apply_trie). On the first input every
@@ -527,21 +531,34 @@ def faithfulness_rank(A, params) -> int:
     trie = word_trie([word_for_monomial(mono) for mono in monos])
     rows = [{} for _ in monos]
     cols = {}
-    first = True
-    for inputs in levi_inputs(ctx.m, ctx.N, len(A)):
-        for beta in inputs:
-            v = ModuleVector.basis_vector(ctx, A, beta)
-            for i, w in apply_trie(trie, v):
-                if first and represent(DecoratedElement.from_monomial(monos[i]), v) != w:
-                    raise ArithmeticError(f"prefix walk and represent differ on row {i}")
-                row = rows[i]
-                for key, c in w.terms.items():
-                    row[cols.setdefault((beta, key), len(cols))] = c
-            first = False
-        rank = sparse_rank(rows)
-        if rank == len(rows):
-            break
-    return rank
+
+    def add(beta, check):
+        v = ModuleVector.basis_vector(ctx, A, beta)
+        for i, w in apply_trie(trie, v):
+            if check and represent(DecoratedElement.from_monomial(monos[i]), v) != w:
+                raise ArithmeticError(f"prefix walk and represent differ on row {i}")
+            row = rows[i]
+            for key, c in w.terms.items():
+                row[cols.setdefault((beta, key), len(cols))] = c
+
+    # A full rank is expected only where m, n >= k, the size condition of
+    # the basis theorem; only there are the inputs reordered and ranked at
+    # checkpoints. A far slot is an up strand holding a value in m+1..N or
+    # a down strand one in 1..m: there the module term Omega_{0k} of a dot
+    # makes a new x-symbol at its first step.
+    m = ctx.m
+    firsts, rest = levi_inputs(m, ctx.N, len(A))
+    expect_full = min(m, ctx.n) >= len(A)
+    if expect_full:
+        firsts.sort(key=lambda beta: sum((b > m) == (a == 1) for a, b in zip(A, beta)), reverse=True)
+    for count, beta in enumerate(firsts, 1):
+        add(beta, count == 1)
+        checkpoint = count == len(firsts) or expect_full and count & (count - 1) == 0
+        if checkpoint and sparse_rank(rows) == len(rows):
+            return len(rows)
+    for beta in rest:
+        add(beta, False)
+    return sparse_rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,62 @@ def test_faithfulness_rank_raises_when_represent_disagrees(monkeypatch):
         faithfulness_rank(A, p)
 
 
+def _rank_two_pass(A, p):
+    """Reference: the first-of-orbit inputs in lexicographic order, ranked
+    once after all of them, then every input ranked once."""
+    ctx = GlContext.parabolic(p.m, p.n, p.delta)
+    monos = cyclotomic_monomials(A)
+    trie = word_trie([word_for_monomial(mono) for mono in monos])
+    rows = [{} for _ in monos]
+    cols = {}
+    for inputs in levi_inputs(ctx.m, ctx.N, len(A)):
+        for beta in inputs:
+            for i, w in apply_trie(trie, ModuleVector.basis_vector(ctx, A, beta)):
+                for key, c in w.terms.items():
+                    rows[i][cols.setdefault((beta, key), len(cols))] = c
+        rank = sparse_rank(rows)
+        if rank == len(rows):
+            break
+    return rank
+
+
+@pytest.mark.parametrize("mnd", [(3, 3, 0), (3, 3, 1), (2, 1, 0), (2, 3, 1), (4, 1, 0)])
+def test_faithfulness_rank_matches_the_two_pass_reference(mnd):
+    p = Params(*mnd)
+    for A in (A for k in (1, 2, 3) for A in product((1, -1), repeat=k)):
+        assert faithfulness_rank(A, p) == _rank_two_pass(A, p), (A, mnd)
+
+
+@pytest.mark.parametrize(
+    "A, mnd, rank, inputs, ranked_after",
+    [
+        # full rank on the two inputs with three far slots and two more
+        ((1, -1, -1), (3, 3, 0), 48, [(4, 1, 1), (4, 1, 2), (1, 1, 1), (1, 1, 2)], [1, 2, 4]),
+        # m < k, where no full rank is expected: the 20 first-of-orbit
+        # inputs in lexicographic order, ranked once, then all 64 once
+        ((1, 1, -1), (2, 2, 0), 46, [(1, 1, 1), (1, 1, 2), (1, 1, 3)], [20, 64]),
+    ],
+)
+def test_faithfulness_rank_stops_at_the_first_full_rank(monkeypatch, A, mnd, rank, inputs, ranked_after):
+    seen, at = [], []
+
+    def walk(trie, v):
+        ((_, slots),) = v.terms
+        seen.append(slots)
+        return apply_trie(trie, v)
+
+    def rank_of(rows):
+        at.append(len(seen))
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(glrep, "apply_trie", walk)
+    monkeypatch.setattr(glrep, "sparse_rank", rank_of)
+    assert faithfulness_rank(A, Params(*mnd)) == rank
+    assert seen[: len(inputs)] == inputs
+    assert at == ranked_after
+    assert len(seen) == ranked_after[-1] and len(set(seen)) == len(seen)
+
+
 def test_word_trie_shares_prefixes():
     words = [[], [("c", 1)], [("c", 1), ("y", 1)], [("y", 2)], [("c", 1)]]
     assert word_trie(words) == (
