@@ -50,8 +50,9 @@ hatted cap-cups of the closed forms above.
 
 The engine recomputes the same small pieces many times over, so the pure
 ones are memoized with functools.lru_cache, unbounded: tok_mono (a token on
-a monomial), diagrams.compose_diagrams and diagrams.token_diagram, next to
-the W-series, prefix and arc-transport tables. wbcat.clear_caches() empties
+a monomial), diagrams.compose_diagrams, diagrams.token_diagram and the word
+behind diagrams.word_for_monomial, next to the W-series, prefix and
+arc-transport tables. wbcat.clear_caches() empties
 every such cache in the package, e.g. between long computations on
 different objects.
 """
@@ -68,6 +69,7 @@ from .diagrams import (
     chain,
     compose_diagrams,
     identity_diagram,
+    is_regular,
     json_field,
     orseq,
     token_diagram,
@@ -211,7 +213,9 @@ def _w_poly(B, x: int, k: int, omega: OmegaSpec) -> MultiPoly:
 
 def w_coeff(A, i: int, k: int, omega: OmegaSpec) -> MultiPoly:
     A = orseq(A)
-    if not 1 <= i <= len(A) - 1 or A[i - 1] == A[i]:
+    if not 1 <= i <= len(A) - 1:
+        raise ValueError(f"w_coeff position i = {i} is outside 1..{len(A) - 1}")
+    if A[i - 1] == A[i]:
         raise ValueError("w_coeff needs opposite orientations at i, i+1")
     if k < 0:
         raise ValueError("negative series index")
@@ -360,6 +364,8 @@ def push_dot_bottom(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     """Re-home every illegally stored dot; regular monomials pass through."""
+    if is_regular(m):
+        return DecoratedElement.from_monomial(m)
     D = m.diagram
     bad_bottom = [
         i for i in range(1, D.n + 1)
@@ -369,8 +375,6 @@ def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
         i for i in range(1, D.n + 1)
         if m.eta[i - 1] and D.top_kind(i) != "arcL"
     ]
-    if not bad_bottom and not bad_top:
-        return DecoratedElement.from_monomial(m)
     gamma, eta = list(m.gamma), list(m.eta)
     for i in bad_bottom:
         gamma[i - 1] = 0
@@ -508,7 +512,11 @@ def multiply(x: DecoratedElement, y: DecoratedElement, omega: OmegaSpec):
 
 
 def reduce(el: DecoratedElement, omega: OmegaSpec) -> DecoratedElement:
-    """Regular normal form of an arbitrary decorated element."""
+    """Regular normal form of an arbitrary decorated element. An element
+    whose terms are all regular, such as every product, is its own normal
+    form and comes back as it is, not copied."""
+    if all(map(is_regular, el.terms)):
+        return el
     parts = [(c, normalize_mono(m, omega)) for m, c in el.terms.items()]
     return DecoratedElement.lincomb(el.bottom, el.top, parts)
 

@@ -196,11 +196,12 @@ def cyclo_reduce(x: DecoratedElement, p: CycloParams) -> DecoratedElement:
     """Normal form with binary dots: affine-reduce, then replace each term
     with a dot stack by its memoized normal form. Eliminating a stack is a
     fixed linear rule of the monomial, so the sum equals rewriting to a
-    fixpoint in any order; the result is a fresh element."""
+    fixpoint in any order; the result is a fresh element, built once on
+    _fold's fresh, clean dict, whose monomials all lie on el's boundary."""
     el = affine_reduce(x, p.omega)
     stacked, free = _split(el.terms)
     _resolve([m for m, _ in stacked], p)
-    return DecoratedElement(el.bottom, el.top, _fold(stacked, free, p))
+    return DecoratedElement._of(el.bottom, el.top, _fold(stacked, free, p))
 
 
 def _drop2(vec, j):

@@ -316,11 +316,11 @@ class Monomial:
 
 
 def is_regular(m: Monomial) -> bool:
+    """No bottom dot at a left end of a bottom arc, and every top dot at a
+    left end of a top arc."""
     D = m.diagram
-    for i in range(1, D.n + 1):
-        if m.gamma[i - 1] and D.bottom_kind(i) == "arcL":
-            return False
-        if m.eta[i - 1] and D.top_kind(i) != "arcL":
+    for i, (g, e) in enumerate(zip(m.gamma, m.eta), 1):
+        if (g and D.bottom_kind(i) == "arcL") or (e and D.top_kind(i) != "arcL"):
             return False
     return True
 
@@ -346,11 +346,17 @@ class DecoratedElement:
         self.terms = exact.lincomb(((1, terms),))
 
     @classmethod
+    def _of(cls, bottom, top, terms: dict) -> "DecoratedElement":
+        """The element on the dict `terms` itself, unchecked and uncopied: the
+        caller hands over a fresh, clean dict of monomials bottom -> top."""
+        el = cls.__new__(cls)
+        el.bottom, el.top, el.terms = bottom, top, terms
+        return el
+
+    @classmethod
     def from_monomial(cls, m: Monomial, coeff=1) -> "DecoratedElement":
         c = num(coeff)
-        el = cls.__new__(cls)
-        el.bottom, el.top, el.terms = m.bottom, m.top, {m: c} if c else {}
-        return el
+        return cls._of(m.bottom, m.top, {m: c} if c else {})
 
     @classmethod
     def unit(cls, A) -> "DecoratedElement":
@@ -366,9 +372,7 @@ class DecoratedElement:
             if x.bottom != bottom or x.top != top:
                 raise ValueError("boundary mismatch")
             pairs.append((c, x.terms))
-        el = cls.__new__(cls)
-        el.bottom, el.top, el.terms = bottom, top, exact.lincomb(pairs)
-        return el
+        return cls._of(bottom, top, exact.lincomb(pairs))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -537,14 +541,17 @@ def word_for_diagram(D: WBDiagram):
     return tuple(word)
 
 
-def word_for_monomial(m: Monomial):
-    """Generator tokens for y^eta . D . y^gamma in application order."""
-    word = [("y", i) for i in range(1, m.diagram.n + 1) for _ in range(m.gamma[i - 1])]
-    word.extend(word_for_diagram(m.diagram))
-    word.extend(
-        ("y", i) for i in range(1, m.diagram.n + 1) for _ in range(m.eta[i - 1])
-    )
-    return word
+def word_for_monomial(m: Monomial) -> list:
+    """Generator tokens for y^eta . D . y^gamma in application order, as a
+    fresh list (the word itself is memoized)."""
+    return list(_monomial_word(m))
+
+
+@lru_cache(maxsize=None)
+def _monomial_word(m: Monomial) -> tuple:
+    bottom = tuple(("y", i) for i, g in enumerate(m.gamma, 1) for _ in range(g))
+    top = tuple(("y", i) for i, e in enumerate(m.eta, 1) for _ in range(e))
+    return bottom + word_for_diagram(m.diagram) + top
 
 
 # ---------------------------------------------------------------------------

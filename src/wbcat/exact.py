@@ -321,6 +321,9 @@ def poly_parse(text: str, nvars: int) -> MultiPoly:
             raise ValueError("unexpected end of polynomial")
         if t.startswith("y"):
             return MultiPoly.var(nvars, int(t[1:]))
+        _, slash, denom = t.partition("/")
+        if slash and not int(denom):
+            raise ValueError(f"zero denominator in polynomial constant {t!r}")
         return MultiPoly.const(nvars, Fraction(t))
 
     def factor() -> MultiPoly:

@@ -15,13 +15,13 @@ it meets and all words end on the same object. So dotted-letter relations
 hold for every agreeing assignment of cap-cup variants, and a dot-crossing
 relation finds its plain or hatted crossing by its endpoints alone.
 
-Coefficients are Fractions or the marker ('omega', k), resolved by the
-consumer against its parameter sequence.
+Coefficients are ints, as everywhere in the package where a value is
+integral, or the marker ('omega', k), resolved by the consumer against its
+parameter sequence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .diagrams import orseq, swap_seq
@@ -70,7 +70,7 @@ def _token(kind):
 
 
 y, c, e, eh, E = map(_token, ("y", "c", "e", "eh", "E"))  # template tokens
-ONE, MINUS, LOOP = Fraction(1), Fraction(-1), ("omega", 0)
+ONE, MINUS, LOOP = 1, -1, ("omega", 0)
 
 # index families, each a function of the object A
 _AT = lambda A: [(i,) for i in range(1, len(A))]  # position i

@@ -150,6 +150,21 @@ def test_reduce_rehomes_illegal_dots():
     assert reduce(red, OM) == red
 
 
+def test_reduce_normalizes_one_irregular_term_among_regular_ones():
+    # an element comes back as it is only when every term is regular
+    A = (1, -1, 1)
+    rng = random.Random(23)
+    regular = DecoratedElement(A, A, {random_monomial(rng, A, A): k for k in range(1, 5)})
+    assert reduce(regular, OM) is regular
+    D = next(D for D in enumerate_diagrams(A, A) if D.bottom_arcs())
+    left = D.bottom_arcs()[0][0]
+    bad = DecoratedElement.from_monomial(Monomial(D, [int(j == left) for j in (1, 2, 3)]), F(3, 2))
+    el = regular + bad
+    red = reduce(el, OM)
+    assert red != el and all(is_regular(m) for m in red.terms)
+    assert red == regular + reduce(bad, OM)
+
+
 # ---------------------------------------------------------------------------
 # W-series coefficients.
 

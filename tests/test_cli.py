@@ -1,4 +1,5 @@
 import ast
+from contextlib import nullcontext
 import hashlib
 import importlib
 from itertools import product
@@ -319,6 +320,64 @@ def test_struct_consts_bytes_are_pinned(capsys, seq, mnd, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+_STRUCT3_DIGESTS = {
+    (3, 3, 0): ["8ddc90975992ed43", "a14d641d385e7cd8", "4f3b5114c3ba2909", "8b61fbe6c98b5dd2",
+                "8b61fbe6c98b5dd2", "4f3b5114c3ba2909", "a14d641d385e7cd8", "318e422efb7dcfee"],
+    (3, 3, 1): ["23577eaed9e825e1", "a6ef4af35bd16c7e", "29858496a6a17a32", "d4b044ea52a45e10",
+                "9d15761af5de5812", "580e86760cf03178", "83d10fdfd6db9a43", "2a8e53da2135e782"],
+}
+
+
+@pytest.mark.parametrize(
+    "A, mnd, digest",
+    [(A, mnd, d) for mnd, ds in _STRUCT3_DIGESTS.items() for A, d in zip(product((1, -1), repeat=3), ds)],
+    ids=[f"{A}@{''.join(map(str, mnd))}".replace(" ", "")
+         for mnd in _STRUCT3_DIGESTS for A in product((1, -1), repeat=3)],
+)
+def test_struct_consts_bytes_on_every_3_strand_ordering(capsys, A, mnd, digest):
+    m, n, delta = map(str, mnd)
+    seq = ",".join(map(str, A))
+    # with no up strand (r = 0) the basis theorem does not apply
+    with pytest.warns(UserWarning, match="basis hypotheses") if 1 not in A else nullcontext():
+        code, out, _ = run_main(capsys, "struct-consts", f"--seq={seq}", "--m", m, "--n", n, "--delta", delta)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _term(coeff, arcs, gamma, eta):
+    A = [1, -1, 1]
+    return {"coeff": coeff, "monomial": {"bottom": A, "top": A, "arcs": arcs, "gamma": gamma, "eta": eta}}
+
+
+# Elements of End(1,-1,1) with dots that a regular monomial never carries:
+# X at the left end of the bottom arc b1-b2 and at the top ends of through
+# strands, Y at the left end of the bottom arc b2-b3 and at the right end of
+# the top arc t2-t3.
+_X = json.dumps({"bottom": [1, -1, 1], "top": [1, -1, 1], "terms": [
+    _term("3/2", [["b1", "b2"], ["b3", "t3"], ["t1", "t2"]], [2, 0, 1], [1, 0, 0]),
+    _term(-2, [["b1", "t1"], ["b2", "t2"], ["b3", "t3"]], [1, 0, 0], [0, 1, 1]),
+]})
+_Y = json.dumps({"bottom": [1, -1, 1], "top": [1, -1, 1], "terms": [
+    _term(1, [["b1", "t1"], ["b2", "b3"], ["t2", "t3"]], [1, 1, 0], [0, 0, 2]),
+]})
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("reduce", "--element", _X), "440ab471fb941914"),
+        (("reduce", "--element", _X, "--affine"), "ea97b72493e0fdd2"),
+        (("reduce", "--element", _Y), "bc01ad4907fe19b0"),
+        (("reduce", "--element", _Y, "--affine"), "47d8b698fcfc5467"),
+        (("multiply", "--x", _X, "--y", _Y), "06eeb2199e7052b7"),
+        (("multiply", "--x", _X, "--y", _Y, "--affine"), "5da89046dece5d17"),
+    ],
+    ids=["reduce-x", "reduce-x-affine", "reduce-y", "reduce-y-affine", "multiply", "multiply-affine"],
+)
+def test_irregular_reduce_and_multiply_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_main(capsys, *argv, "--m", "3", "--n", "3", "--delta", "0")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_reduce_affine_keeps_dot_stack(capsys):
     p = make_params(2, 2, 0)
     y1 = generator("y", (1, -1), 1)
@@ -342,6 +401,28 @@ def test_struct_consts_single_strand(capsys):
         "dim": 2,
         "triples": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 1, "2"]],
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("center-test", "--seq", "1,-1", "--m", "2", "--n", "2", "--delta", "0"), ("qcancel", "--pair", "1,2")],
+    ids=["center-test", "qcancel"],
+)
+def test_zero_denominator_in_poly_is_named(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--poly", "y1+1/0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "zero denominator in polynomial constant '1/0'"}
+
+
+@pytest.mark.parametrize("i", ["0", "4"])
+def test_wseries_position_off_the_object_is_a_range_error(capsys, i):
+    args = ("--seq", "1,1,-1", "--k", "2", "--m", "2", "--n", "2", "--delta", "0")
+    code, out, err = run_main(capsys, "wseries", "--i", i, *args)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": f"w_coeff position i = {i} is outside 1..2"}
+    # a position on the object with equal orientations keeps its own message
+    code, _, err = run_main(capsys, "wseries", "--i", "1", *args)
+    assert code == 1 and "opposite orientations" in json.loads(err)["error"]
 
 
 def test_center_commands(capsys):

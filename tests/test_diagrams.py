@@ -306,6 +306,14 @@ def test_word_for_monomial_order():
     assert ("e", 1) in word or ("eh", 1) in word
 
 
+def test_word_for_monomial_is_a_fresh_list():
+    m = Monomial(cupcap(), (0, 2), (1, 0))
+    word = word_for_monomial(m)
+    want = list(word)
+    word.append(("y", 1))
+    assert word_for_monomial(m) == want
+
+
 def test_json_roundtrip():
     for D in enumerate_diagrams((1, 1, -1), (1, -1, 1)):
         assert diagram_from_json(json.loads(json.dumps(diagram_to_json(D)))) == D
