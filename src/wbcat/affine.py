@@ -35,12 +35,13 @@ three inductive steps are exact at every truncation order:
 (the last line is the series involution f -> f(-u)/(1 - u^{-1} f(-u))
 rewritten in S-coordinates).
 
-One routine, _transport, carries a dot along a strand in both directions:
-down from the top or up from the bottom, through the cached canonical
-generator word of the diagram (or the word moving a far arc's endpoint next
-to its partner), one crossing at a time. The main term travels with
-coefficient +1 and every correction consumes the dot, so all recursion is
-on strictly fewer dots and terminates without a depth bound.
+push_dot is the one entry point for a dot from either side. A dot that may
+not rest where it enters goes to _transport, which carries it along a
+strand down from the top or up from the bottom, through the cached
+canonical generator word of the diagram (or the word moving a far arc's
+endpoint next to its partner), one crossing at a time. The main term
+travels with coefficient +1 and every correction consumes the dot, so all
+recursion is on strictly fewer dots and terminates without a depth bound.
 
 Every sum is one call of the kernel: DecoratedElement.lincomb checks the
 boundaries and sums all parts in exact.lincomb into one fresh dict, never
@@ -327,54 +328,41 @@ def _arc_transport(D: WBDiagram, side: str, p: int):
     return word, pres, cap
 
 
-def push_dot(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    """Regular form of y_p . m (dot entering from the top)."""
+def _dot_at(m: Monomial, side: str, p: int) -> Monomial:
+    """m with one more dot at point (side, p)."""
+    if side == "b":
+        return Monomial(m.diagram, _add_at(m.gamma, p), m.eta)
+    return Monomial(m.diagram, m.gamma, _add_at(m.eta, p))
+
+
+def push_dot(p: int, m: Monomial, omega: OmegaSpec, side: str = "t") -> DecoratedElement:
+    """Regular form of y_p . m, the dot entering from the top (side "t"), or
+    of m . y_p, the dot entering from the bottom (side "b")."""
     D = m.diagram
-    kind = D.top_kind(p)
-    if kind == "arcL":
-        return DecoratedElement.from_monomial(Monomial(D, m.gamma, _add_at(m.eta, p)))
-    if kind == "through":
+    if D.rests(side, p):
+        return DecoratedElement.from_monomial(_dot_at(m, side, p))
+    end, q = D.partner(side, p)
+    if end != side:  # a through strand from the top: rest at its bottom end
         pos, corr = _transport(p, m, omega, *_prefixes(D))
-        return corr + DecoratedElement.from_monomial(Monomial(D, _add_at(m.gamma, pos), m.eta))
-    x = D.partner("t", p)[1]
-    main = Monomial(D, m.gamma, _add_at(m.eta, x))
-    if x == p - 1:
-        return DecoratedElement.from_monomial(main, -1)
-    pos, corr = _transport(p, m, omega, *_arc_transport(D, "t", p))
-    if pos != x + 1:
-        raise AssertionError("top arc transport ended off the arc")
-    return corr + DecoratedElement.from_monomial(main, -1)
-
-
-def push_dot_bottom(p: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    """Regular form of m . y_p (dot entering from the bottom)."""
-    D = m.diagram
-    kind = D.bottom_kind(p)
-    if kind in ("through", "arcR"):
-        return DecoratedElement.from_monomial(Monomial(D, _add_at(m.gamma, p), m.eta))
-    v = D.partner("b", p)[1]
-    main = Monomial(D, _add_at(m.gamma, v), m.eta)
-    if v == p + 1:
-        return DecoratedElement.from_monomial(main, -1)
-    pos, corr = _transport(p, m, omega, *_arc_transport(D, "b", p))
-    if pos != v - 1:
-        raise AssertionError("bottom arc transport ended off the arc")
-    return corr + DecoratedElement.from_monomial(main, -1)
+        return corr + DecoratedElement.from_monomial(_dot_at(m, "b", pos))
+    # an arc end: the dot moves to the partner end q with sign -1
+    main = DecoratedElement.from_monomial(_dot_at(m, side, q), -1)
+    if abs(p - q) == 1:
+        return main
+    pos, corr = _transport(p, m, omega, *_arc_transport(D, side, p))
+    if pos != (q + 1 if q < p else q - 1):
+        raise AssertionError("arc transport ended off the arc")
+    return corr + main
 
 
 def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    """Re-home every illegally stored dot; regular monomials pass through."""
+    """Re-home every dot that may not rest where it is; regular monomials
+    pass through."""
     if is_regular(m):
         return DecoratedElement.from_monomial(m)
     D = m.diagram
-    bad_bottom = [
-        i for i in range(1, D.n + 1)
-        if m.gamma[i - 1] and D.bottom_kind(i) == "arcL"
-    ]
-    bad_top = [
-        i for i in range(1, D.n + 1)
-        if m.eta[i - 1] and D.top_kind(i) != "arcL"
-    ]
+    bad_bottom = [i for i in range(1, D.n + 1) if m.gamma[i - 1] and not D.rests("b", i)]
+    bad_top = [i for i in range(1, D.n + 1) if m.eta[i - 1] and not D.rests("t", i)]
     gamma, eta = list(m.gamma), list(m.eta)
     for i in bad_bottom:
         gamma[i - 1] = 0
@@ -384,7 +372,7 @@ def normalize_mono(m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     el = apply_word(word, DecoratedElement.from_monomial(Monomial(D, gamma, eta)), omega)
     for i in bad_bottom:
         for _ in range(m.gamma[i - 1]):
-            parts = [(c, push_dot_bottom(i, mm, omega)) for mm, c in el.terms.items()]
+            parts = [(c, push_dot(i, mm, omega, "b")) for mm, c in el.terms.items()]
             el = DecoratedElement.lincomb(D.bottom, D.top, parts)
     return el
 
@@ -452,18 +440,14 @@ def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     """Move one stored dot off position `at` (x or x+1) before contracting:
-    with P the arc partner of `at`, m = Corr - y_P . m1 where m1 drops one
-    dot, and y_P commutes past the cap."""
+    with P the arc partner of `at` and m1 = m less that dot, y_P . m1 =
+    Corr - m, so m = Corr - y_P . m1, and y_P commutes past the cap."""
     D = m.diagram
     P = D.partner("t", at)[1]
     if P in (x, x + 1):
         raise AssertionError("pre-clearing a dot from the contracted arc")
     m1 = Monomial(D, m.gamma, _add_at(m.eta, at, -1))
-    if P == at + 1:
-        # adjacent arc {at, P}: y_P . m1 = -m with no corrections
-        corr = DecoratedElement(D.bottom, D.top)
-    else:
-        _, corr = _transport(P, m1, omega, *_arc_transport(D, "t", P))
+    corr = tok_mono(("y", P), m1, omega) + DecoratedElement.from_monomial(m)
     t1 = apply_element_token((kind, x), corr, omega)
     t2 = apply_word(((kind, x), ("y", P)), DecoratedElement.from_monomial(m1), omega)
     return t1 - t2

@@ -9,12 +9,13 @@ multiplies by omega_0 per loop).
 
 A monomial is a diagram with dot counts gamma on the bottom boundary and
 eta on the top boundary, meaning y^eta . D . y^gamma. It is *regular* when
-gamma_i = 0 at every left endpoint of a bottom arc and eta_i = 0 except at
-left endpoints of top arcs. Regular monomials are the canonical spanning
-set; with binary dots there are 2^n n! of them between any two objects.
-A DecoratedElement is an exact linear combination of monomials; every sum of
-scaled elements is one call of DecoratedElement.lincomb, which checks the
-boundaries and sums in exact.lincomb, the kernel shared with the gl_N oracle.
+every dot rests where WBDiagram.rests allows: gamma_i = 0 at every left
+endpoint of a bottom arc and eta_i = 0 except at left endpoints of top arcs.
+Regular monomials are the canonical spanning set; with binary dots there
+are 2^n n! of them between any two objects. A DecoratedElement is an exact
+linear combination of monomials; every sum of scaled elements is one call
+of DecoratedElement.lincomb, which checks the boundaries and sums in
+exact.lincomb, the kernel shared with the gl_N oracle.
 
 word_for_diagram factors any diagram into generator tokens (crossings and
 cap-cup generators): route bottom arcs to adjacent slots, cap them, re-route
@@ -127,6 +128,13 @@ class WBDiagram:
         if side == "b":
             return "through"
         return "arcL" if i < j else "arcR"
+
+    def rests(self, side: str, i: int) -> bool:
+        """Whether a dot may rest at point (side, i) in a regular monomial:
+        a bottom dot anywhere but at the left end of a bottom arc, a top dot
+        only at the left end of a top arc. The one statement of the rule."""
+        other, j = self._partner[(side, i)]
+        return (other == side and i < j) == (side == "t")
 
     def bottom_arcs(self):
         """Bottom arcs as (left, right) position pairs, sorted by left."""
@@ -316,11 +324,10 @@ class Monomial:
 
 
 def is_regular(m: Monomial) -> bool:
-    """No bottom dot at a left end of a bottom arc, and every top dot at a
-    left end of a top arc."""
-    D = m.diagram
+    """Every dot of m rests where WBDiagram.rests allows it."""
+    rests = m.diagram.rests
     for i, (g, e) in enumerate(zip(m.gamma, m.eta), 1):
-        if (g and D.bottom_kind(i) == "arcL") or (e and D.top_kind(i) != "arcL"):
+        if (g and not rests("b", i)) or (e and not rests("t", i)):
             return False
     return True
 
@@ -451,15 +458,13 @@ def cyclotomic_monomials(A):
     A = orseq(A)
     out = []
     for D in enumerate_diagrams(A, A):
-        gfree = [i for i in range(1, D.n + 1) if D.bottom_kind(i) != "arcL"]
-        efree = [i for i in range(1, D.n + 1) if D.top_kind(i) == "arcL"]
-        free = [("g", i) for i in gfree] + [("e", i) for i in efree]
+        free = [(side, i) for side in "bt" for i in range(1, D.n + 1) if D.rests(side, i)]
         for mask in range(1 << len(free)):
             gamma = [0] * D.n
             eta = [0] * D.n
-            for b, (which, i) in enumerate(free):
+            for b, (side, i) in enumerate(free):
                 if mask >> b & 1:
-                    (gamma if which == "g" else eta)[i - 1] = 1
+                    (gamma if side == "b" else eta)[i - 1] = 1
             out.append(Monomial(D, gamma, eta))
     out.sort(key=lambda m: m.sort_key())
     return out
@@ -596,7 +601,10 @@ def diagram_to_json(D: WBDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> WBDiagram:
-    arcs = json_field(obj, "arcs", list, "a list of point-name pairs", list)
+    what = "a list of point-name pairs"
+    arcs = json_field(obj, "arcs", list, what, list)
+    if any(len(arc) != 2 for arc in arcs):
+        raise ValueError(f"field 'arcs' must be {what}, got {arcs!r}")
     pairs = [(_point_parse(p), _point_parse(q)) for p, q in arcs]
     return WBDiagram(_ints(obj, "bottom"), _ints(obj, "top"), pairs)
 

@@ -30,7 +30,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +25,7 @@ from wbcat.diagrams import (
     DecoratedElement,
     Monomial,
     all_orseqs,
+    element_to_json,
     enumerate_diagrams,
     generator,
     identity_monomial,
@@ -419,6 +423,84 @@ def test_unit_is_neutral():
         x = DecoratedElement.from_monomial(random_monomial(rng, A, B))
         assert multiply(x, DecoratedElement.unit(A), OM) == x
         assert multiply(DecoratedElement.unit(B), x, OM) == x
+
+
+def rehoming_monomials():
+    """Every monomial with one or two dots, each at a point where a dot may
+    not rest, on the Hom spaces of 2 and 3 strands and then of the 4-strand
+    objects with (r, t) = (2, 2)."""
+    out = []
+    for n in (2, 3, 4):
+        group = [o for o in objects_of_size(n) if n < 4 or rt_counts(o) == (2, 2)]
+        for A in group:
+            for B in group:
+                if rt_counts(A) != rt_counts(B):
+                    continue
+                for D in enumerate_diagrams(A, B):
+                    bad = [(s, i) for s in "bt" for i in range(1, n + 1) if not D.rests(s, i)]
+                    for k in (1, 2):
+                        for dots in combinations_with_replacement(bad, k):
+                            gamma, eta = [0] * n, [0] * n
+                            for side, i in dots:
+                                (gamma if side == "b" else eta)[i - 1] += 1
+                            out.append(Monomial(D, gamma, eta))
+    return out
+
+
+def test_rehoming_bytes_are_pinned():
+    # the normal forms at (3,3,1), digest recorded before the bottom and top
+    # push routines became one
+    om = OmegaSpec.from_mn_delta(3, 3, 1)
+    monos = rehoming_monomials()
+    forms = [element_to_json(reduce(DecoratedElement.from_monomial(m), om)) for m in monos]
+    blob = json.dumps(forms, sort_keys=True, separators=(",", ":")).encode()
+    assert len(monos) == 13236
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c9abf900fec805432866d68217605c77de9836c981e0e0567d081e81ec3f089c"
+    )
+
+
+def _first_of_its_relabeling(v):
+    # the slot labels appear first in the order 1, 2, 3, ...
+    ((_, slots),) = v.terms
+    labels = list(dict.fromkeys(slots))
+    return labels == list(range(1, len(labels) + 1))
+
+
+def test_rehoming_matches_representation(monkeypatch):
+    # every path that moves a dot to where it may rest (through strand from
+    # the top, adjacent and far arcs from either side) against the gl_3
+    # oracle, which applies the irregular monomial's own word. On 2 and 3
+    # strands every spanning vector and up to two dots. On 4 strands one dot,
+    # and one vector per relabeling of the slots: every generator commutes
+    # with permuting the labels of V, so these vectors decide equality
+    # (all 81 and two dots would take minutes).
+    ctx, om = GlContext.trivial(3), OmegaSpec.trivial(3)
+    far = set()  # (side, word length) of every far-arc transport
+
+    def arc_transport(D, side, p):
+        out = _arc_transport(D, side, p)
+        far.add((side, len(out[0])))
+        return out
+
+    wbcat.clear_caches()  # memoized products would skip the transport
+    monkeypatch.setattr(affine, "_arc_transport", arc_transport)
+    vectors = {}
+    for m in rehoming_monomials():
+        A = m.bottom
+        if len(A) == 4 and m.dots() > 1:
+            continue
+        if A not in vectors:
+            vs = spanning_vectors(ctx, A, max_deg=0)
+            vectors[A] = [v for v in vs if len(A) < 4 or _first_of_its_relabeling(v)]
+        el = DecoratedElement.from_monomial(m)
+        red = reduce(el, om)
+        assert red != el and all(map(is_regular, red.terms)), m
+        for v in vectors[A]:
+            assert represent(red, v) == represent(el, v), (m, v.terms)
+    assert {"t", "b"} == {side for side, _ in far}
+    assert {("t", 2), ("b", 2)} <= far
+    assert len(vectors[(1, 1, -1, -1)]) == 14
 
 
 def test_push_dot_identity_strand():

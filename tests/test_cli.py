@@ -414,6 +414,33 @@ def test_zero_denominator_in_poly_is_named(capsys, argv):
     assert json.loads(err) == {"error": "zero denominator in polynomial constant '1/0'"}
 
 
+ONE_STRAND = '{"bottom":[1],"top":[1],"arcs":[["b1","t1"]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--element", f'{{"bottom":[1],"top":[1],"terms":[{{"coeff":"1/0","monomial":{ONE_STRAND}}}]}}', *PARAMS),
+        ("wseries", "--seq", "1,-1", "--i", "1", "--k", "1", "--omega-json", '{"kind":"list","values":["1/0",2]}'),
+    ],
+    ids=["reduce-coeff", "wseries-omega"],
+)
+def test_zero_denominator_in_a_rational_is_named(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "zero denominator in rational '1/0'"}
+
+
+@pytest.mark.parametrize("arc", ['["b1","t1","x"]', "[]"], ids=["three-names", "empty"])
+def test_arc_that_is_not_a_pair_of_names_is_refused(capsys, arc):
+    mono = f'{{"bottom":[1],"top":[1],"arcs":[{arc}]}}'
+    element = f'{{"bottom":[1],"top":[1],"terms":[{{"coeff":"1","monomial":{mono}}}]}}'
+    code, out, err = run_main(capsys, "reduce", "--element", element, *PARAMS)
+    assert code == 1 and out == ""
+    arcs = [json.loads(arc)]
+    assert json.loads(err) == {"error": f"field 'arcs' must be a list of point-name pairs, got {arcs!r}"}
+
+
 @pytest.mark.parametrize("i", ["0", "4"])
 def test_wseries_position_off_the_object_is_a_range_error(capsys, i):
     args = ("--seq", "1,1,-1", "--k", "2", "--m", "2", "--n", "2", "--delta", "0")

@@ -266,6 +266,23 @@ def test_is_regular():
     assert not is_regular(Monomial(e, (0, 0), (0, 1)))  # dot at top arcR
 
 
+def test_rests_matches_the_kind_rule():
+    # reference: a bottom dot rests anywhere but at the left end of a bottom
+    # arc, a top dot only at the left end of a top arc
+    diagrams = 0
+    for n in range(1, 5):
+        objs = [o for r in range(n + 1) for o in all_orseqs(r, n - r)]
+        for A, B in product(objs, repeat=2):
+            if sum(A) != sum(B):
+                continue
+            for D in enumerate_diagrams(A, B):
+                diagrams += 1
+                for i in range(1, n + 1):
+                    assert D.rests("b", i) == (D.bottom_kind(i) != "arcL"), (D, i)
+                    assert D.rests("t", i) == (D.top_kind(i) == "arcL"), (D, i)
+    assert diagrams == 2 * 1 + 6 * 2 + 20 * 6 + 70 * 24
+
+
 def test_regular_monomial_counts():
     assert len(cyclotomic_monomials((1,))) == 2
     assert len(cyclotomic_monomials((1, -1))) == 8
