@@ -53,9 +53,13 @@ The engine recomputes the same small pieces many times over, so the pure
 ones are memoized with functools.lru_cache, unbounded: tok_mono (a token on
 a monomial), diagrams.compose_diagrams, diagrams.token_diagram and the word
 behind diagrams.word_for_monomial, next to the W-series, prefix and
-arc-transport tables. wbcat.clear_caches() empties
-every such cache in the package, e.g. between long computations on
-different objects.
+arc-transport tables. Monomials are interned (diagrams.Monomial), so a
+lookup of a monomial met before hits on identity, and is_regular is
+decided once per monomial. A token on one monomial with coefficient 1 is
+the tok_mono element itself, shared; the public results (multiply,
+element_for_word, and cyclotomic.cyclo_reduce) are fresh elements.
+wbcat.clear_caches() empties every such cache and the intern table, e.g.
+between long computations on different objects.
 """
 
 from __future__ import annotations
@@ -411,7 +415,7 @@ def _crossing(x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
 
 
 def _edot(kind: str, x: int, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
-    # the cap-cup exists: apply_element_token built token_diagram first
+    # the cap-cup exists: tok_mono built token_diagram first
     D = m.diagram
     B = D.top
     if D.partner("t", x) == ("t", x + 1):
@@ -458,26 +462,37 @@ def tok_mono(tok, m: Monomial, omega: OmegaSpec) -> DecoratedElement:
     """Regular form of the token `tok` applied on top of the monomial m.
 
     Memoized, so one returned element is shared by every caller that asks
-    for the same product. No caller mutates an element's `terms`, `bottom`
-    or `top`: `lincomb` (behind `scale`, `+`, `-`, and cyclo_reduce) builds
-    new elements, and all else only reads. Keep it that way."""
+    for the same product; apply_element_token hands it on as is for a
+    single monomial with coefficient 1. No caller mutates an element's
+    `terms`, `bottom` or `top`: `lincomb` (behind `scale`, `+`, `-`, and
+    cyclo_reduce) builds new elements, and all else only reads. Keep it
+    that way."""
     kind, i = tok
     if kind == "y":
         return push_dot(i, m, omega)
+    token_diagram(tok, m.top)  # refuses an unknown kind or a position off m.top
     if kind == "c":
         return _crossing(i, m, omega)
-    if kind in ("e", "eh"):
-        return _edot(kind, i, m, omega)
-    raise ValueError(f"unknown token {tok!r}")
+    return _edot(kind, i, m, omega)
 
 
 def apply_element_token(tok, el: DecoratedElement, omega: OmegaSpec):
+    """tok applied on top of el. On a single monomial with coefficient 1
+    this is the memoized tok_mono element itself, shared, not copied."""
+    if len(el.terms) == 1:
+        ((m, c),) = el.terms.items()
+        if c == 1:
+            return tok_mono(tok, m, omega)
+        parts = [(c, tok_mono(tok, m, omega))]
+    else:
+        parts = [(c, tok_mono(tok, m, omega)) for m, c in el.terms.items()]
     top = el.top if tok[0] == "y" else token_diagram(tok, el.top).top
-    parts = [(c, tok_mono(tok, m, omega)) for m, c in el.terms.items()]
     return DecoratedElement.lincomb(el.bottom, top, parts)
 
 
 def apply_word(word, el: DecoratedElement, omega: OmegaSpec) -> DecoratedElement:
+    """The tokens of word applied on top of el, in order. The result may be
+    a memoized element: read it, never change it."""
     for tok in word:
         el = apply_element_token(tok, el, omega)
     return el
@@ -506,7 +521,9 @@ def reduce(el: DecoratedElement, omega: OmegaSpec) -> DecoratedElement:
 
 
 def element_for_word(word, A, omega: OmegaSpec) -> DecoratedElement:
-    return apply_word(word, DecoratedElement.unit(orseq(A)), omega)
+    """The element of the word on A, as a fresh element of its own."""
+    el = apply_word(word, DecoratedElement.unit(orseq(A)), omega)
+    return DecoratedElement._of(el.bottom, el.top, dict(el.terms))
 
 
 def check_relation(A, relation_id: str, omega: OmegaSpec) -> bool:

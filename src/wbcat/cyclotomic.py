@@ -34,6 +34,7 @@ from .diagrams import (
     DecoratedElement,
     Monomial,
     cyclotomic_monomials,
+    dot_stack,
     generator,
     identity_diagram,
     orseq,
@@ -126,21 +127,12 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
     return repl
 
 
-def _find_stack(m: Monomial):
-    for j in range(1, m.diagram.n + 1):
-        if m.gamma[j - 1] >= 2:
-            return "b", j
-        if m.eta[j - 1] >= 2:
-            return "t", j
-    return None
-
-
 def _split(terms: dict):
     """(the terms with a dot stack, as (monomial, coefficient) pairs; a dict
     of the others)."""
     stacked, free = [], {}
     for m, c in terms.items():
-        if _find_stack(m):
+        if dot_stack(m):
             stacked.append((m, c))
         else:
             free[m] = c
@@ -154,7 +146,7 @@ def _elimination(m: Monomial, p: CycloParams) -> list:
     quadratic relation. _resolve then folds the normal forms of the stacked
     terms into it, leaving [[], normal form of m]: the dict is shared by
     every later caller, so never modify it."""
-    side, j = _find_stack(m)
+    side, j = dot_stack(m)
     if side == "b":
         m1 = Monomial(m.diagram, _drop2(m.gamma, j), m.eta)
         repl = _quadratic_replacement(m.bottom, j, p)

@@ -12,10 +12,22 @@ eta on the top boundary, meaning y^eta . D . y^gamma. It is *regular* when
 every dot rests where WBDiagram.rests allows: gamma_i = 0 at every left
 endpoint of a bottom arc and eta_i = 0 except at left endpoints of top arcs.
 Regular monomials are the canonical spanning set; with binary dots there
-are 2^n n! of them between any two objects. A DecoratedElement is an exact
-linear combination of monomials; every sum of scaled elements is one call
-of DecoratedElement.lincomb, which checks the boundaries and sums in
-exact.lincomb, the kernel shared with the gl_N oracle.
+are 2^n n! of them between any two objects.
+
+Monomials are interned: Monomial(D, gamma, eta) looks the new object up in
+a table keyed by the monomial itself and returns the stored one when there
+is one, so equal monomials built by any route are one object, and the memo
+caches keyed by monomials (tok_mono, the word memo, the stack eliminations,
+every dict of terms) find them by identity without a Python-level __eq__.
+Two facts of a monomial, is_regular and dot_stack, are decided on first use
+and kept on it. wbcat.clear_caches() empties the table; equality and hash
+stay structural, so monomials from before the clearing still meet the new
+ones as equal keys.
+
+A DecoratedElement is an exact linear combination of monomials; every sum
+of scaled elements is one call of DecoratedElement.lincomb, which checks
+the boundaries and sums in exact.lincomb, the kernel shared with the gl_N
+oracle.
 
 word_for_diagram factors any diagram into generator tokens (crossings and
 cap-cup generators): route bottom arcs to adjacent slots, cap them, re-route
@@ -148,6 +160,8 @@ class WBDiagram:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, WBDiagram):
             return (
                 self.bottom == other.bottom
@@ -275,23 +289,46 @@ def enumerate_diagrams(A, B):
 # Monomials and linear combinations.
 
 
+_INT = {int}
+_MONOMIALS = {}  # the intern table of Monomial
+
+
 class Monomial:
-    """y^eta . D . y^gamma: diagram with bottom dots gamma and top dots eta."""
+    """y^eta . D . y^gamma: diagram with bottom dots gamma and top dots eta.
+    Interned, with structural equality: see the module docstring."""
 
-    __slots__ = ("diagram", "gamma", "eta", "_hash")
+    __slots__ = ("diagram", "gamma", "eta", "_hash", "_regular", "_stack")
 
-    def __init__(self, diagram: WBDiagram, gamma=None, eta=None):
-        n = diagram.n
-        gamma = tuple(gamma) if gamma is not None else (0,) * n
-        eta = tuple(eta) if eta is not None else (0,) * n
-        if len(gamma) != n or len(eta) != n:
-            raise ValueError("dot vector length mismatch")
-        if any(g < 0 for g in gamma) or any(e < 0 for e in eta):
+    def __new__(cls, diagram: WBDiagram, gamma=None, eta=None):
+        n = len(diagram.bottom)
+        gamma = (0,) * n if gamma is None else tuple(gamma)
+        eta = (0,) * n if eta is None else tuple(eta)
+        dots = gamma + eta
+        # on every call: a bool or a float may equal a stored int
+        if not set(map(type, dots)) <= _INT:
+            for name, vec in (("gamma", gamma), ("eta", eta)):
+                if not all(type(d) is int for d in vec):
+                    raise ValueError(f"{name} must be a list of integers, got {list(vec)!r}")
+        m = object.__new__(cls)
+        m.diagram, m.gamma, m.eta = diagram, gamma, eta
+        m._hash = hash((diagram, gamma, eta))
+        m._regular = m._stack = None
+        old = _MONOMIALS.setdefault(m, m)
+        # a hit equals a stored monomial, which passed these checks
+        if old is m and (len(gamma) != n or len(eta) != n or dots and min(dots) < 0):
+            del _MONOMIALS[m]
+            if len(gamma) != n or len(eta) != n:
+                raise ValueError("dot vector length mismatch")
             raise ValueError("negative dot count")
-        self.diagram = diagram
-        self.gamma = gamma
-        self.eta = eta
-        self._hash = hash((diagram, gamma, eta))
+        return old
+
+    def __reduce__(self):
+        return Monomial, (self.diagram, self.gamma, self.eta)
+
+    @staticmethod
+    def cache_clear() -> None:
+        """Empty the intern table."""
+        _MONOMIALS.clear()
 
     @property
     def bottom(self):
@@ -308,6 +345,8 @@ class Monomial:
         return (self.diagram.pairs, self.gamma, self.eta)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, Monomial):
             return (
                 self.diagram == other.diagram
@@ -324,12 +363,29 @@ class Monomial:
 
 
 def is_regular(m: Monomial) -> bool:
-    """Every dot of m rests where WBDiagram.rests allows it."""
-    rests = m.diagram.rests
-    for i, (g, e) in enumerate(zip(m.gamma, m.eta), 1):
-        if (g and not rests("b", i)) or (e and not rests("t", i)):
-            return False
-    return True
+    """Every dot of m rests where WBDiagram.rests allows it. Decided once
+    per monomial."""
+    if m._regular is None:
+        rests = m.diagram.rests
+        m._regular = True
+        for i, (g, e) in enumerate(zip(m.gamma, m.eta), 1):
+            if (g and not rests("b", i)) or (e and not rests("t", i)):
+                m._regular = False
+                break
+    return m._regular
+
+
+def dot_stack(m: Monomial):
+    """The first point ("b", j) or ("t", j), by j and bottom before top,
+    that holds two or more dots of m; () when there is none. Decided once
+    per monomial."""
+    if m._stack is None:
+        m._stack = ()
+        for j, (g, e) in enumerate(zip(m.gamma, m.eta), 1):
+            if g >= 2 or e >= 2:
+                m._stack = ("b" if g >= 2 else "t", j)
+                break
+    return m._stack
 
 
 def identity_monomial(A) -> Monomial:

@@ -515,8 +515,10 @@ def faithfulness_rank(A, params) -> int:
     4, 8, ... and after the last; elsewhere, where a full rank is not
     expected, they are ranked once after the last. A column subset has rank
     at most the full rank, which is at most the number of rows, so a full
-    rank at any of these checkpoints is the answer. Otherwise the remaining
-    inputs are added to the same rows and the whole matrix is ranked once.
+    rank at any of these checkpoints is the answer; one at which some row
+    is still empty cannot reach it and is not ranked. Otherwise the
+    remaining inputs are added to the same rows and the whole matrix is
+    ranked once.
     Why the first pass is expected to suffice, and why this order and these
     checkpoints: docs/decisions.md.
 
@@ -554,7 +556,7 @@ def faithfulness_rank(A, params) -> int:
     for count, beta in enumerate(firsts, 1):
         add(beta, count == 1)
         checkpoint = count == len(firsts) or expect_full and count & (count - 1) == 0
-        if checkpoint and sparse_rank(rows) == len(rows):
+        if checkpoint and all(rows) and sparse_rank(rows) == len(rows):
             return len(rows)
     for beta in rest:
         add(beta, False)

@@ -389,6 +389,26 @@ def test_token_diagram_accepts_a_list():
     assert token_diagram(("e", 1), [1, -1]) is token_diagram(("e", 1), (1, -1))
 
 
+def test_public_results_are_fresh_elements():
+    # memoized elements are shared inside the engine; a result handed out is
+    # the caller's own, so changing it changes no later answer
+    A = (1, -1, 1)
+    p = make_params(3, 3, 0)
+    x, y = generator("e", A, 1), generator("y", A, 2)
+    calls = [
+        lambda: multiply(x, y, p.omega),
+        lambda: element_for_word([("e", 1)], A, p.omega),
+        lambda: element_for_word([("y", 2), ("e", 1)], A, p.omega),
+        lambda: cyclo_reduce(multiply(y, y, p.omega), p),
+    ]
+    for call in calls:
+        first = call()
+        want = dict(first.terms)
+        first.terms.clear()
+        first.terms[identity_monomial(A)] = 7
+        assert call().terms == want
+
+
 def test_associativity_sampled():
     rng = random.Random(5)
     om = OM

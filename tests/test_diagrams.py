@@ -1,4 +1,6 @@
 import json
+import pickle
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +19,7 @@ from wbcat.diagrams import (
     cyclotomic_monomials,
     diagram_from_json,
     diagram_to_json,
+    dot_stack,
     element_from_json,
     element_to_json,
     enumerate_diagrams,
@@ -264,6 +267,59 @@ def test_is_regular():
     assert is_regular(Monomial(e, (0, 1), (1, 0)))
     assert not is_regular(Monomial(e, (1, 0), (0, 0)))  # dot at bottom arcL
     assert not is_regular(Monomial(e, (0, 0), (0, 1)))  # dot at top arcR
+
+
+def test_dot_counts_must_be_ints():
+    # a bool or a float equals an int, so it could become the shared object
+    D = identity_diagram((1, -1))
+    for gamma, eta in [((True, 0), (0, 0)), ((1.0, 0), (0, 0)), ((0, 0), (0, 1.5))]:
+        for _ in range(2):  # refused before and after the int form is interned
+            with pytest.raises(ValueError, match="must be a list of integers"):
+                Monomial(D, gamma, eta)
+            Monomial(D, [int(d) for d in gamma], [int(d) for d in eta])
+    with pytest.raises(ValueError, match="negative"):
+        Monomial(D, (-1, 0))
+    with pytest.raises(ValueError, match="length"):
+        Monomial(D, (0,))
+
+
+def test_equal_monomials_are_one_object():
+    # one built from a composite, one from a directly built diagram
+    A = (1, -1, 1)
+    _, C = compose_diagrams(token_diagram(("e", 1), A), token_diagram(("e", 2), A))
+    D = WBDiagram(A, A, [(("b", 1), ("t", 3)), (("b", 2), ("b", 3)), (("t", 1), ("t", 2))])
+    assert C == D and C is not D
+    m = Monomial(C, (0, 1, 0), (1, 0, 0))
+    assert Monomial(D, [0, 1, 0], [1, 0, 0]) is m
+    assert Monomial(D) is Monomial(C, (0, 0, 0), (0, 0, 0))
+
+
+def test_monomials_stay_equal_across_clear_caches():
+    D = cupcap()
+    before = Monomial(D, (0, 1), (1, 0))
+    wbcat.clear_caches()
+    after = Monomial(D, (0, 1), (1, 0))
+    assert after is not before
+    assert after == before and hash(after) == hash(before)
+    assert {before: 1}[after] == 1 and is_regular(after) and is_regular(before)
+
+
+def test_monomial_pickle_and_deepcopy():
+    m = Monomial(cupcap(), (0, 2), (1, 0))
+    for copy in (pickle.loads(pickle.dumps(m)), deepcopy(m)):
+        assert copy is m and dot_stack(copy) == ("b", 2)
+    wbcat.clear_caches()
+    restored = pickle.loads(pickle.dumps(m))
+    assert restored == m and restored is Monomial(cupcap(), (0, 2), (1, 0))
+    el = DecoratedElement.from_monomial(m, "3/2")
+    assert pickle.loads(pickle.dumps(el)) == el == deepcopy(el)
+
+
+def test_dot_stack_is_the_first_stacked_point():
+    D = identity_diagram((1, -1, 1))
+    assert dot_stack(Monomial(D, (1, 0, 1), (1, 1, 0))) == ()
+    assert dot_stack(Monomial(D, (0, 0, 2), (0, 3, 0))) == ("t", 2)
+    assert dot_stack(Monomial(D, (0, 2, 0), (0, 3, 0))) == ("b", 2)
 
 
 def test_rests_matches_the_kind_rule():

@@ -577,20 +577,25 @@ def test_faithfulness_rank_matches_the_two_pass_reference(mnd):
 @pytest.mark.parametrize(
     "A, mnd, rank, inputs, ranked_after",
     [
-        # full rank on the two inputs with three far slots and two more
-        ((1, -1, -1), (3, 3, 0), 48, [(4, 1, 1), (4, 1, 2), (1, 1, 1), (1, 1, 2)], [1, 2, 4]),
+        # full rank on the two inputs with three far slots and two more;
+        # after inputs 1 and 2 some rows are still empty, so no rank is taken
+        ((1, -1, -1), (3, 3, 0), 48, [(4, 1, 1), (4, 1, 2), (1, 1, 1), (1, 1, 2)], [4]),
         # m < k, where no full rank is expected: the 20 first-of-orbit
         # inputs in lexicographic order, ranked once, then all 64 once
         ((1, 1, -1), (2, 2, 0), 46, [(1, 1, 1), (1, 1, 2), (1, 1, 3)], [20, 64]),
     ],
 )
 def test_faithfulness_rank_stops_at_the_first_full_rank(monkeypatch, A, mnd, rank, inputs, ranked_after):
-    seen, at = [], []
+    seen, at, filled = [], [], []
 
     def walk(trie, v):
         ((_, slots),) = v.terms
         seen.append(slots)
-        return apply_trie(trie, v)
+        filled.append(set())
+        for i, w in apply_trie(trie, v):
+            if w.terms:
+                filled[-1].add(i)
+            yield i, w
 
     def rank_of(rows):
         at.append(len(seen))
@@ -602,6 +607,13 @@ def test_faithfulness_rank_stops_at_the_first_full_rank(monkeypatch, A, mnd, ran
     assert seen[: len(inputs)] == inputs
     assert at == ranked_after
     assert len(seen) == ranked_after[-1] and len(set(seen)) == len(seen)
+    # where m, n >= k a rank is due after inputs 1, 2, 4, ...; one is
+    # skipped only while some row is empty
+    nrows = len(cyclotomic_monomials(A))
+    if min(mnd[:2]) >= len(A):
+        for count in (1 << e for e in range(ranked_after[-1].bit_length())):
+            if count not in at:
+                assert len(set().union(*filled[:count])) < nrows, count
 
 
 def test_word_trie_shares_prefixes():
