@@ -110,15 +110,14 @@ def _omega_mn(m: int, n: int, delta: int, k: int) -> Fraction:
 
 
 class OmegaSpec(Record):
-    """The parameter sequence omega_k: explicit list, (m,n,delta)-derived,
-    or the trivial-module values N (N/2)^k."""
+    """The parameter sequence omega_k: explicit list or (m,n,delta)-derived.
+    The trivial module of gl_N is (0, N, 0): the recursion then gives
+    N (N/2)^k."""
 
-    FIELDS = __slots__ = ("kind", "values", "m", "n", "delta", "N")
+    FIELDS = __slots__ = ("kind", "values", "m", "n", "delta")
 
-    def __init__(
-        self, kind: str, values: tuple = (), m: int = 0, n: int = 0, delta: int = 0, N: int = 0
-    ):
-        self._freeze(kind, values, m, n, delta, N)
+    def __init__(self, kind: str, values: tuple = (), m: int = 0, n: int = 0, delta: int = 0):
+        self._freeze(kind, values, m, n, delta)
 
     @classmethod
     def from_list(cls, values) -> "OmegaSpec":
@@ -130,7 +129,7 @@ class OmegaSpec(Record):
 
     @classmethod
     def trivial(cls, N: int) -> "OmegaSpec":
-        return cls("trivial", N=N)
+        return cls.from_mn_delta(0, N, 0)
 
     def __call__(self, k: int) -> Fraction:
         if k < 0:
@@ -143,16 +142,12 @@ class OmegaSpec(Record):
             return self.values[k]
         if self.kind == "mn_delta":
             return _omega_mn(self.m, self.n, self.delta, k)
-        if self.kind == "trivial":
-            return self.N * Fraction(self.N, 2) ** k
         raise ValueError(f"unknown omega kind {self.kind!r}")
 
     def to_json(self) -> dict:
         if self.kind == "list":
             return {"kind": "list", "values": [str(v) for v in self.values]}
-        if self.kind == "mn_delta":
-            return {"kind": "mn_delta", "m": self.m, "n": self.n, "delta": self.delta}
-        return {"kind": "trivial", "N": self.N}
+        return {"kind": "mn_delta", "m": self.m, "n": self.n, "delta": self.delta}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OmegaSpec":

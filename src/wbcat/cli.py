@@ -367,7 +367,7 @@ def cmd_faithfulness(args):
         raise ValueError(
             f"(m+n)^k above {MAX_RANK_INPUTS} tensor inputs outside the basis hypotheses"
         )
-    d = len(cyclotomic.basis(A, p))
+    d = _monomial_count(A)
     rank = glrep.faithfulness_rank(A, p)
     out = _size_fields(A, p, d)
     if "dim" in out:

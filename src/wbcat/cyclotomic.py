@@ -4,9 +4,10 @@ and the centre via Q-cancellation.
 The quotient imposes one quadratic relation per object: on any object the
 leftmost dot satisfies (y_1 - beta)(y_1 - beta') = 0, with the root pair
 chosen by the first orientation entry (+1: (beta_1, beta_2); -1: the
-starred pair). Dot stacks at interior positions are reduced through an
-exact conjugation: with T the crossing-word element routing position 1 to
-position j and Q = (y_1 - beta)(y_1 - beta') on the cycled object,
+starred pair). A dot stack at any position j is reduced through an exact
+conjugation: with T the crossing-word element routing position 1 to
+position j (the unit at j = 1) and Q = (y_1 - beta)(y_1 - beta') on the
+cycled object,
 
     y_j^2 = [y_j^2 - T Q Tbar] + T Q Tbar,
 
@@ -110,8 +111,6 @@ def _quadratic_replacement(C: tuple, j: int, p: CycloParams) -> DecoratedElement
     om = p.omega
     beta, betap = p.roots(C[j - 1])
     s, pr, unit = beta + betap, beta * betap, DecoratedElement.unit
-    if j == 1:
-        return DecoratedElement.lincomb(C, C, [(s, generator("y", C, 1)), (-pr, unit(C))])
     Ap = (C[j - 1],) + C[: j - 1] + C[j:]
     word = [("c", i) for i in range(1, j)]  # routes bottom 1 to top j
     T = element_for_word(word, Ap, om)

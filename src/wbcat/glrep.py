@@ -1,16 +1,18 @@
 """Exact gl_N tensor-space oracle.
 
 Vectors live in M (x) V^{a_1} (x) ... (x) V^{a_n} where V is the vector
-representation with basis v_1..v_N, V^{-1} its dual, and M is either the
-trivial module or the parabolic highest-weight module with one-dimensional
-highest weight space of weight -delta(eps_1+...+eps_m) for the two-block
-parabolic gl_m + gl_n + (upper right). The negative nilradical
-u^- = span{E_ij : i > m >= j} is abelian, so PBW monomials x^mu z in the
-symbols x_ij form a basis of M; module vectors are finite exact
-combinations of keys (mu, slots). A coefficient is an int whenever it is
-integral and a Fraction only when it is not: the action is defined over
-Z[1/2], and halves come only from the N/2 shift of y at odd N or from
-scaling by a non-integral Fraction.
+representation with basis v_1..v_N, V^{-1} its dual, and M is the
+parabolic highest-weight module with one-dimensional highest weight space
+of weight -delta(eps_1+...+eps_m) for the two-block parabolic
+gl_m + gl_n + (upper right), N = m + n (GlContext). The negative
+nilradical u^- = span{E_ij : i > m >= j} is abelian, so PBW monomials
+x^mu z in the symbols x_ij form a basis of M; module vectors are finite
+exact combinations of keys (mu, slots). At m = 0, u^- is empty and the
+highest weight is 0: M is the trivial module, on which every module term
+below is zero, so one code path serves both. A coefficient is an int
+whenever it is integral and a Fraction only when it is not: the action is
+defined over Z[1/2], and halves come only from the N/2 shift of y at odd
+N or from scaling by a non-integral Fraction.
 
 Generators act by: crossings swap adjacent slots; cap-cups are the delta
 maps v_c (x) v*_d -> delta_cd sum_k (k, k) (hatted: exchanging the two
@@ -30,9 +32,9 @@ value d with the module action that goes with it, already signed. A dot
 y_i splits into a slot part, N/2 + sum_{1<=k<i} Omega_{ki}, which depends
 on the slot tuple alone and is read from a third cached table
 (_dot_slots, built from _slot_pair), and the module term Omega_{0i}, one
-omega_pair call on the parabolic module. Both go into one accumulator,
-cleaned once (exact.clean). Every other sum of vectors is one call of
-exact.lincomb, the kernel shared with the rewriting engine.
+omega_pair call. Both go into one accumulator, cleaned once (exact.clean).
+Every other sum of vectors is one call of exact.lincomb, the kernel shared
+with the rewriting engine.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -62,27 +64,24 @@ from .relations import _OFF  # position i, strand j off it
 
 
 class GlContext(Record):
-    FIELDS = __slots__ = ("kind", "N", "m", "n", "delta")
+    # N = m + n follows from (m, n); m = 0 is the trivial module
+    FIELDS = __slots__ = ("m", "n", "delta", "N")
+    ARGS = 3
 
-    def __init__(self, kind: str, N: int, m: int = 0, n: int = 0, delta: int = 0):
-        if kind not in ("trivial", "parabolic"):
-            raise ValueError(f"unknown module kind {kind!r}")
-        if N < 1:
-            raise ValueError("N must be positive")
-        if kind == "parabolic":
-            if m < 1 or n < 1:
-                raise ValueError("parabolic kind needs m, n >= 1")
-            if N != m + n:
-                raise ValueError("parabolic kind needs N = m + n")
-        self._freeze(kind, N, m, n, delta)
+    def __init__(self, m: int, n: int, delta: int = 0):
+        if m < 0 or n < 1:
+            raise ValueError("N must be positive" if m + n < 1 else "need m >= 0 and n >= 1")
+        self._freeze(m, n, delta, m + n)
 
     @classmethod
     def trivial(cls, N: int) -> "GlContext":
-        return cls("trivial", N)
+        return cls(0, N)
 
     @classmethod
     def parabolic(cls, m: int, n: int, delta: int) -> "GlContext":
-        return cls("parabolic", m + n, m, n, delta)
+        if m < 1 or n < 1:
+            raise ValueError("parabolic kind needs m, n >= 1")
+        return cls(m, n, delta)
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +184,9 @@ class ModuleVector:
             raise ValueError("slot count mismatch")
         if not all(1 <= s <= ctx.N for s in slots):
             raise ValueError("slot index out of range")
-        if mu and ctx.kind == "trivial":
-            raise ValueError("trivial module has no x-symbols")
+        for i, j in mu:
+            if not (ctx.m < i <= ctx.N and 1 <= j <= ctx.m):
+                raise ValueError(f"x_{i}{j} is not a symbol of u^-")
         return _vector(ctx, A, {(tuple(sorted(mu)), slots): 1})
 
     def is_zero(self) -> bool:
@@ -238,11 +238,10 @@ def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
     """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only."""
     acc = {}
     if pos == 0:
-        if ctx.kind == "parabolic":
-            for (mu, slots), coeff in v.terms.items():
-                for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
-                    key = (nu, slots)
-                    acc[key] = acc.get(key, 0) + coeff * c2
+        for (mu, slots), coeff in v.terms.items():
+            for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
+                key = (nu, slots)
+                acc[key] = acc.get(key, 0) + coeff * c2
     else:
         up = v.A[pos - 1] == 1
         for (mu, slots), coeff in v.terms.items():
@@ -277,13 +276,12 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
         acc = {}
     get = acc.get
     if j == 0:
-        if ctx.kind == "parabolic":
-            m, delta = ctx.m, ctx.delta
-            for (mu, slots), coeff in v.terms.items():
-                head, tail = slots[: k - 1], slots[k:]
-                for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):
-                    key = (nu, head + (d,) + tail)
-                    acc[key] = get(key, 0) + coeff * c2
+        m, delta = ctx.m, ctx.delta
+        for (mu, slots), coeff in v.terms.items():
+            head, tail = slots[: k - 1], slots[k:]
+            for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):
+                key = (nu, head + (d,) + tail)
+                acc[key] = get(key, 0) + coeff * c2
     else:
         up_j = v.A[j - 1] == 1
         for (mu, slots), coeff in v.terms.items():
@@ -297,7 +295,7 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
 
 def y_apply(v: ModuleVector, i: int) -> ModuleVector:
     """y_i = N/2 + sum_{1 <= k < i} Omega_{ki} (one _dot_slots row per term)
-    + Omega_{0i} (omega_pair, parabolic only), summed in one accumulator."""
+    + Omega_{0i} (omega_pair), summed in one accumulator."""
     if not 1 <= i <= len(v.A):
         raise ValueError("dot index out of range")
     ctx, A = v.ctx, v.A
@@ -307,8 +305,7 @@ def y_apply(v: ModuleVector, i: int) -> ModuleVector:
         for ns, c in _dot_slots(ctx.N, A, i, slots):
             key = (mu, ns)
             acc[key] = get(key, 0) + c * coeff
-    if ctx.kind == "parabolic":
-        omega_pair(v, 0, i, acc)
+    omega_pair(v, 0, i, acc)
     return _vector(ctx, A, clean(acc))
 
 
@@ -427,21 +424,18 @@ def basis_weight(ctx: GlContext, A, key):
     line plus eps_i - eps_j per x_{ij} and +-eps_{slot} per tensor slot."""
     mu, slots = key
     w = [0] * ctx.N
-    if ctx.kind == "parabolic":
-        for a in range(ctx.m):
-            w[a] -= ctx.delta
-        for i, j in mu:
-            w[i - 1] += 1
-            w[j - 1] -= 1
+    for a in range(ctx.m):
+        w[a] -= ctx.delta
+    for i, j in mu:
+        w[i - 1] += 1
+        w[j - 1] -= 1
     for k, a in enumerate(orseq(A)):
         w[slots[k] - 1] += a
     return tuple(w)
 
 
 def module_monomials(ctx: GlContext, max_deg: int):
-    """PBW monomials of u^- of degree <= max_deg (just () for trivial)."""
-    if ctx.kind == "trivial":
-        return [()]
+    """PBW monomials of u^- of degree <= max_deg (just () at m = 0)."""
     gens = u_minus_generators(ctx)
     out = [()]
     for d in range(1, max_deg + 1):
@@ -465,8 +459,6 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
     of every test vector v, have a nonzero nullspace, that nullspace is one
     vector with 1 at column d: the monic coefficients.
     """
-    if ctx.kind != "parabolic":
-        raise ValueError("minimal polynomial probe needs the parabolic module")
     data = []
     for v in spanning_vectors(ctx, (orientation,), max_deg=2):
         v1 = y_apply(v, 1)
@@ -626,8 +618,8 @@ def identity_instances(check_id: str, A):
 
 
 def verify_section8(ctx: GlContext, A, max_deg: int = 2) -> dict:
-    """Check every IDENTITIES instance on the full tensor basis (trivial) or
-    the degree <= max_deg spanning set (parabolic): check id ->
+    """Check every IDENTITIES instance on the degree <= max_deg spanning set
+    (at m = 0, the trivial module, the full tensor basis): check id ->
     {"instances": instances times vectors, "failures": ["label on key"]},
     failures in instance order, then vector order.
 

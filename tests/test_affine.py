@@ -76,6 +76,14 @@ def test_omega_trivial_and_mn_delta():
     assert om(2) == 16 and om(5) == 128
     om = OmegaSpec.from_mn_delta(1, 1, 0)
     assert [om(k) for k in range(6)] == [2, 2, 2, 2, 2, 2]
+    # the trivial module is the m = 0 parabolic module: the recursion has
+    # roots N/2 - delta and N/2, and omega_0 = N, omega_1 = N^2/2 leave only
+    # the second, whatever delta is
+    for N in range(1, 9):
+        for delta in range(-2, 4):
+            om, om0 = OmegaSpec.trivial(N), OmegaSpec.from_mn_delta(0, N, delta)
+            for k in range(30):
+                assert om(k) == N * F(N, 2) ** k == om0(k)
 
 
 def test_omega_mn_matches_closed_form():
@@ -94,6 +102,8 @@ def test_omega_json_round_trip():
     ):
         assert OmegaSpec.from_json(om.to_json()) == om
         assert OmegaSpec.from_json(om.to_json())(1) == om(1)
+    # the trivial kind is still read from outside input
+    assert OmegaSpec.from_json({"kind": "trivial", "N": 3}) == OmegaSpec.trivial(3)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ def test_dim_outside_basis_hypotheses_is_not_a_dimension(capsys):
     args = ("--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0")
     code, out, _ = run_main(capsys, "dim", *args)
     assert code == 0 and json.loads(out) == {"certified": False, "spanning": 8}
-    with pytest.warns(UserWarning, match="basis hypotheses"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the size is counted: no basis, no warning
         code, out, _ = run_main(capsys, "faithfulness", *args)
     assert code == 0 and json.loads(out) == {"certified": False, "rank": 6, "spanning": 8}
 
@@ -141,11 +142,9 @@ def test_size_bounds_admit_the_largest_inputs(capsys):
     assert code == 0 and out == '{"dim":8,"faithful":true,"rank":8}\n'
     # every input of 3 strands at m + n = 8; 4 strands at m + n = 4, and at
     # (4,4,0) under the basis hypotheses
-    with pytest.warns(UserWarning, match="basis hypotheses"):
-        code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1", "--m", "7", "--n", "1", "--delta", "0")
+    code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1", "--m", "7", "--n", "1", "--delta", "0")
     assert code == 0 and out == '{"certified":false,"rank":34,"spanning":48}\n'
-    with pytest.warns(UserWarning, match="basis hypotheses"):
-        code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1,-1", "--m", "3", "--n", "1", "--delta", "0")
+    code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1,-1", "--m", "3", "--n", "1", "--delta", "0")
     assert code == 0 and out == '{"certified":false,"rank":208,"spanning":384}\n'
     code, out, _ = run_main(capsys, "faithfulness", "--seq", "1,1,-1,-1", "--m", "4", "--n", "4", "--delta", "0")
     assert code == 0 and out == '{"dim":384,"faithful":true,"rank":384}\n'
@@ -522,6 +521,24 @@ def test_verify_s8_trivial(capsys):
     assert rep and all(v["failures"] == [] for v in rep.values())
 
 
+@pytest.mark.parametrize(
+    "seq, argv, digest",
+    [
+        ("1,-1", ("--N", "2"), "1e428f0a50d6480f"),
+        ("1,-1", ("--N", "3"), "4ba0982a71dfb015"),
+        ("1,-1", ("--N", "4"), "5b6cf2f4d662cba6"),
+        ("1,-1,1", ("--N", "3"), "25d5718a35f839c3"),
+        ("1,1,-1", ("--N", "2", "--max-deg", "0"), "679435ea1da68a66"),
+    ],
+    ids=["(1,-1)N2", "(1,-1)N3", "(1,-1)N4", "(1,-1,1)N3", "(1,1,-1)N2d0"],
+)
+def test_verify_s8_trivial_bytes_are_pinned(capsys, seq, argv, digest):
+    # the trivial module is the m = 0 parabolic module; the report is unchanged
+    code, out, err = run_main(capsys, "verify-s8", "--seq", seq, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_verify_s8_refuses_an_object_it_cannot_check(capsys):
     # no identity has an instance on one strand: a report of zeros is not a pass
     for argv in (("--N", "2"), ("--m", "1", "--n", "1", "--delta", "0")):
@@ -552,6 +569,19 @@ def test_faithfulness(capsys):
     code, out, _ = run_main(capsys, "faithfulness", "--seq", "1", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 0
     assert json.loads(out) == {"dim": 2, "faithful": True, "rank": 2}
+
+
+def test_faithfulness_outside_hypotheses_counts_without_a_warning():
+    # the size is counted, not enumerated: stdout already says the monomials
+    # only span, and stderr stays empty
+    r = subprocess.run(
+        [sys.executable, "-m", "wbcat.cli", "faithfulness", "--seq", "1,1,-1",
+         "--m", "2", "--n", "3", "--delta", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == '{"certified":false,"rank":47,"spanning":48}\n'
 
 
 def test_console_entry_point():

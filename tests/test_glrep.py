@@ -138,7 +138,7 @@ def _split_casimir(ctx, v, j, k):
 def _draw_key(data, ctx, A):
     slots = data.draw(st.tuples(*[st.integers(1, ctx.N)] * len(A)))
     mu = ()
-    if ctx.kind == "parabolic":
+    if ctx.m:
         gens = st.sampled_from(u_minus_generators(ctx))
         mu = tuple(sorted(data.draw(st.lists(gens, max_size=2))))
     return mu, slots
@@ -152,7 +152,7 @@ def _draw_key(data, ctx, A):
         GlContext.parabolic(1, 2, 1),
         GlContext.parabolic(2, 2, 0),
     ],
-    ids=lambda c: f"{c.kind}{c.N}",
+    ids=lambda c: f"{'parabolic' if c.m else 'trivial'}{c.N}",
 )
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -183,7 +183,7 @@ _COEFFS = st.one_of(
         GlContext.parabolic(2, 2, 0),
         GlContext.parabolic(2, 1, 1),
     ],
-    ids=lambda c: f"{c.kind}{c.N}m{c.m}",
+    ids=lambda c: f"{'parabolic' if c.m else 'trivial'}{c.N}m{c.m}",
 )
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -221,7 +221,7 @@ def test_y_apply_sums_its_casimirs_in_one_accumulator(ctx, data):
         GlContext.parabolic(2, 2, 0),
         GlContext.parabolic(2, 1, 1),
     ],
-    ids=lambda c: f"{c.kind}{c.N}m{c.m}",
+    ids=lambda c: f"{'parabolic' if c.m else 'trivial'}{c.N}m{c.m}",
 )
 def test_y_apply_is_its_definition(ctx):
     # y_i v = (N/2) v + sum_{0 <= k < i} Omega_{ki} v, the right side from
@@ -320,6 +320,22 @@ def test_y1_minimal_poly_split():
         F(1),
     )
     assert y1_minimal_poly(GlContext.parabolic(2, 2, 0), -1) == (0, -2, 1)
+    # on the trivial module y_1 is the scalar N/2 on either orientation
+    for N in (1, 2, 3):
+        for orientation in (1, -1):
+            assert y1_minimal_poly(GlContext.trivial(N), orientation) == (F(-N, 2), 1)
+
+
+def test_basis_vector_takes_only_symbols_of_u_minus():
+    # x_ij with m < i <= N and 1 <= j <= m; the trivial module has none
+    ctx = GlContext.parabolic(2, 2, 0)
+    for mu in ([(1, 2)], [(9, 1)], [(3, 1), (2, 1)]):
+        with pytest.raises(ValueError, match="not a symbol of u\\^-"):
+            ModuleVector.basis_vector(ctx, (1,), (1,), mu)
+    v = ModuleVector.basis_vector(ctx, (1,), (1,), [(3, 1)])
+    assert v.coeff([(3, 1)], (1,)) == 1
+    with pytest.raises(ValueError, match="not a symbol of u\\^-"):
+        ModuleVector.basis_vector(GlContext.trivial(3), (1,), (1,), [(2, 1)])
 
 
 def test_y1_minimal_poly_degenerate_square():

@@ -39,16 +39,17 @@ def test_equal_instances_compare_and_hash_equal(make, make_other):
 
 
 def test_repr_is_pinned():
-    assert repr(GlContext.parabolic(2, 2, 0)) == "GlContext(kind='parabolic', N=4, m=2, n=2, delta=0)"
-    assert repr(GlContext.trivial(3)) == "GlContext(kind='trivial', N=3, m=0, n=0, delta=0)"
+    assert repr(GlContext.parabolic(2, 2, 0)) == "GlContext(m=2, n=2, delta=0, N=4)"
+    assert repr(GlContext.trivial(3)) == "GlContext(m=0, n=3, delta=0, N=3)"
     assert repr(make_params(3, 3, 0)) == (
         "CycloParams(m=3, n=3, delta=0, beta1=Fraction(3, 1), beta2=Fraction(0, 1), "
         "beta1s=Fraction(3, 1), beta2s=Fraction(0, 1), "
-        "omega=OmegaSpec(kind='mn_delta', values=(), m=3, n=3, delta=0, N=0))"
+        "omega=OmegaSpec(kind='mn_delta', values=(), m=3, n=3, delta=0))"
     )
     assert repr(OmegaSpec.from_list([1, "3/2"])) == (
-        "OmegaSpec(kind='list', values=(Fraction(1, 1), Fraction(3, 2)), m=0, n=0, delta=0, N=0)"
+        "OmegaSpec(kind='list', values=(Fraction(1, 1), Fraction(3, 2)), m=0, n=0, delta=0)"
     )
+    assert repr(OmegaSpec.trivial(3)) == "OmegaSpec(kind='mn_delta', values=(), m=0, n=3, delta=0)"
 
 
 @pytest.mark.parametrize("make", [make for make, _ in PAIRS])
@@ -68,8 +69,10 @@ def test_constructors_validate():
     for N in (0, -3):
         with pytest.raises(ValueError, match="N must be positive"):
             GlContext.trivial(N)
-    with pytest.raises(ValueError, match="N = m \\+ n"):
-        GlContext("parabolic", 5, 2, 2)
+    for mn in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            GlContext.parabolic(*mn, 0)
+    assert GlContext.trivial(3) == GlContext(0, 3) and GlContext.trivial(3).N == 3
 
 
 def test_memo_cache_hits_for_an_equal_params_instance():
