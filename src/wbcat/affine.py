@@ -300,19 +300,20 @@ def _transport(p: int, m: Monomial, omega: OmegaSpec, word, pres, cap=None):
 @lru_cache(maxsize=None)
 def _arc_transport(D: WBDiagram, side: str, p: int):
     """(word, prefixes, cap) routing endpoint p of a far arc {p, q} on side
-    ("t" or "b") to q + 1 or q - 1, next to q. Top: D = T o Dh with the arc
-    of Dh at {q, q+1}, prefixes from Dh to D, cap None. Bottom: D = Dh o T
-    with the arc of Dh at {q-1, q}, prefixes from the identity to T, cap Dh.
-    T is the run of adjacent crossings between p and its destination, in the
-    order that meets p first; a crossing is its own inverse, so Dh is D with
-    the reversed word composed on T's side."""
+    ("t" or "b") next to q. By the rest rule (WBDiagram.rests) a top dot
+    enters a top arc at its right end and a bottom dot a bottom arc at its
+    left end, so the dot goes from p > q to q + 1 on top and from p < q to
+    q - 1 at the bottom. Top: D = T o Dh with the arc of Dh at {q, q+1},
+    prefixes from Dh to D, cap None. Bottom: D = Dh o T with the arc of Dh
+    at {q-1, q}, prefixes from the identity to T, cap Dh. T is the run of
+    adjacent crossings between p and its destination, in the order that
+    meets p first; a crossing is its own inverse, so Dh is D with the
+    reversed word composed on T's side."""
     q = D.partner(side, p)[1]
-    if abs(p - q) < 2:
-        raise AssertionError("arc transport needs a far arc")
-    dest = q + 1 if q < p else q - 1
-    word = tuple(("c", i) for i in range(min(p, dest), max(p, dest)))
-    if (side == "t") == (q > p):
-        word = word[::-1]
+    run = range(q + 1, p) if side == "t" else range(p, q - 1)
+    if not run:
+        raise AssertionError("arc transport needs a far arc entered at its resting end")
+    word = tuple(("c", i) for i in run)
     if side == "t":
         loops, Dh = _fold_above(word[::-1], D)
         pres, cap = chain(Dh, word), None
@@ -327,11 +328,11 @@ def _arc_transport(D: WBDiagram, side: str, p: int):
     return word, pres, cap
 
 
-def _dot_at(m: Monomial, side: str, p: int) -> Monomial:
-    """m with one more dot at point (side, p)."""
+def _dot_at(m: Monomial, side: str, p: int, k: int = 1) -> Monomial:
+    """m with k more dots at point (side, p)."""
     if side == "b":
-        return Monomial(m.diagram, _add_at(m.gamma, p), m.eta)
-    return Monomial(m.diagram, m.gamma, _add_at(m.eta, p))
+        return Monomial(m.diagram, _add_at(m.gamma, p, k), m.eta)
+    return Monomial(m.diagram, m.gamma, _add_at(m.eta, p, k))
 
 
 def push_dot(p: int, m: Monomial, omega: OmegaSpec, side: str = "t") -> DecoratedElement:
@@ -445,7 +446,7 @@ def _edot_preclear(kind, x, at, m, omega) -> DecoratedElement:
     P = D.partner("t", at)[1]
     if P in (x, x + 1):
         raise AssertionError("pre-clearing a dot from the contracted arc")
-    m1 = Monomial(D, m.gamma, _add_at(m.eta, at, -1))
+    m1 = _dot_at(m, "t", at, -1)
     corr = tok_mono(("y", P), m1, omega) + DecoratedElement.from_monomial(m)
     t1 = apply_element_token((kind, x), corr, omega)
     t2 = apply_word(((kind, x), ("y", P)), DecoratedElement.from_monomial(m1), omega)

@@ -6,8 +6,8 @@ Conventions
 * exit code 0 on success, 1 on engine errors (bad input values, violated
   preconditions, arithmetic faults, failed internal checks, runaway
   recursion: a JSON {"error": ...} object on stderr, never a traceback),
-  2 on usage errors (unknown flags/subcommands); a warning is one JSON
-  {"warning": ...} line on stderr;
+  2 on usage errors (unknown flags/subcommands); a successful call writes
+  nothing on stderr;
 * every algebraic number is emitted as an exact rational string; counts,
   dimensions and indices are plain integers;
 * JSON keys are sorted and separators fixed, so reruns are byte-identical;
@@ -51,10 +51,11 @@ Conventions
   the basis grow like 2^k k! in the number k of strands;
 * `reduce`, `multiply`, `wseries` and `verify-relations` take omega from
   --m/--n/--delta or from --omega-json, never both;
-* sizes of End(A) are printed as "dim" only under the basis hypotheses
-  (cyclotomic.basis_hypotheses); otherwise the 2^k k! regular monomials
-  only span, and the size is printed as "spanning" next to
-  "certified": false;
+* an exact answer outside the hypotheses that certify it says so once,
+  with "certified": false on stdout: `basis`, `dim`, `struct-consts` and
+  `faithfulness` outside the basis hypotheses (cyclotomic.basis_hypotheses),
+  where a size is "spanning", not "dim", and `young-enum` and `spectrum`
+  on a strip narrower than the walk (m or n < r + t);
 * polynomials use the grammar of exact.poly_parse:
 
       expr     = term (("+" | "-") term)* ;
@@ -70,7 +71,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from fractions import Fraction
 
 from . import affine, cyclotomic, glrep, young4
@@ -210,11 +210,16 @@ def cmd_multiply(args):
     return _emit(element_to_json(out))
 
 
+def _certified(holds):
+    """{} when the hypotheses behind an answer hold, else {"certified": False}."""
+    return {} if holds else {"certified": False}
+
+
 def cmd_basis(args):
-    monos = cyclotomic.basis(args.seq, _params_from(args))
-    return _emit(
-        {"count": len(monos), "monomials": [monomial_to_json(m) for m in monos]}
-    )
+    A, p = args.seq, _params_from(args)
+    monos = cyclotomic.basis(A, p)
+    return _emit({**_certified(cyclotomic.basis_hypotheses(A, p)), "count": len(monos),
+                  "monomials": [monomial_to_json(m) for m in monos]})
 
 
 def _size_fields(A, p, size):
@@ -331,23 +336,27 @@ def cmd_verify_s8(args):
 
 
 def _walks(args):
+    """The walks for args.seq, and their certification fields: a strip
+    narrower than the walk (m or n < r + t) truncates boxes."""
     for name, value in (("--m", args.m), ("--n", args.n)):
         _check_range(name, value, 1, MAX_WALK_MN)
-    return young4.enumerate_Y(args.seq, args.m, args.n, args.delta)
+    seqs = young4.enumerate_Y(args.seq, args.m, args.n, args.delta)
+    return seqs, _certified(min(args.m, args.n) >= len(args.seq))
 
 
 def cmd_spectrum(args):
-    seqs = _walks(args)
+    seqs, fields = _walks(args)
     tuples = sorted(tuple(young4.eigenvalue_tuple(s)) for s in seqs)
     return _emit(
-        {"count": len(tuples), "tuples": [[str(v) for v in t] for t in tuples]}
+        {**fields, "count": len(tuples), "tuples": [[str(v) for v in t] for t in tuples]}
     )
 
 
 def cmd_young_enum(args):
-    seqs = _walks(args)
+    seqs, fields = _walks(args)
     return _emit(
         {
+            **fields,
             "count": len(seqs),
             "factors": [list(s.diagrams[-1].b) for s in seqs],
             "sequences": [s.records() for s in seqs],
@@ -427,13 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, *_):
-    return json.dumps({"warning": str(message)}) + "\n"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if "seq" in args:
             args.seq = _parse_seq(args.seq)
@@ -441,8 +445,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, ArithmeticError, RecursionError, AssertionError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 1
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ of positions gives the same value as substituting 0, 0).
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .affine import OmegaSpec, element_for_word, multiply, reduce as affine_reduce
+from .affine import OmegaSpec, _dot_at, element_for_word, multiply, reduce as affine_reduce
 from .diagrams import (
     DecoratedElement,
     Monomial,
@@ -146,12 +145,11 @@ def _elimination(m: Monomial, p: CycloParams) -> list:
     terms into it, leaving [[], normal form of m]: the dict is shared by
     every later caller, so never modify it."""
     side, j = dot_stack(m)
+    m1 = _dot_at(m, side, j, -2)
     if side == "b":
-        m1 = Monomial(m.diagram, _drop2(m.gamma, j), m.eta)
         repl = _quadratic_replacement(m.bottom, j, p)
         prod = multiply(DecoratedElement.from_monomial(m1), repl, p.omega)
     else:
-        m1 = Monomial(m.diagram, m.gamma, _drop2(m.eta, j))
         repl = _quadratic_replacement(m.top, j, p)
         prod = multiply(repl, DecoratedElement.from_monomial(m1), p.omega)
     return list(_split(prod.terms))
@@ -195,10 +193,6 @@ def cyclo_reduce(x: DecoratedElement, p: CycloParams) -> DecoratedElement:
     return DecoratedElement._of(el.bottom, el.top, _fold(stacked, free, p))
 
 
-def _drop2(vec, j):
-    return vec[: j - 1] + (vec[j - 1] - 2,) + vec[j:]
-
-
 def basis_hypotheses(A, p: CycloParams) -> bool:
     """True iff the basis theorem applies to End(A): m, n >= r+t and r >= 1."""
     r, t = rt_counts(orseq(A))
@@ -206,15 +200,10 @@ def basis_hypotheses(A, p: CycloParams) -> bool:
 
 
 def basis(A, p: CycloParams):
-    """All cyclotomic regular monomials on A: 2^{r+t} (r+t)! of them."""
-    A = orseq(A)
-    if not basis_hypotheses(A, p):
-        warnings.warn(
-            "basis hypotheses violated (need m, n >= r+t and r >= 1); "
-            "the monomial list may not be linearly independent",
-            stacklevel=2,
-        )
-    return cyclotomic_monomials(A)
+    """All cyclotomic regular monomials on A: 2^{r+t} (r+t)! of them. They
+    form a basis of End(A) when m, n >= r+t and r >= 1 (basis_hypotheses);
+    otherwise they only span, and may be linearly dependent."""
+    return cyclotomic_monomials(orseq(A))
 
 
 def structure_constants(A, p: CycloParams):

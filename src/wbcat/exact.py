@@ -491,11 +491,12 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 
 def _int_row(row) -> dict:
     """The nonzero entries of a sparse row as ints: a row with a Fraction
-    entry is scaled by the lcm of its denominators."""
+    entry is scaled by the lcm of its denominators, in int arithmetic (an
+    int is its own numerator over 1), so no Fraction is made."""
     row = {k: v for k, v in row.items() if v}
     if any(v.__class__ is not int for v in row.values()):
-        den = lcm(*(rat(v).denominator for v in row.values()))
-        row = {k: (v * den).numerator for k, v in row.items()}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
     return row
 
 

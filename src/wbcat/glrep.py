@@ -238,6 +238,8 @@ def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
     """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only."""
     acc = {}
     if pos == 0:
+        if not ctx.m:  # the trivial module: every E_ab acts on it as 0
+            return _vector(ctx, v.A, acc)
         for (mu, slots), coeff in v.terms.items():
             for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
                 key = (nu, slots)
@@ -277,6 +279,8 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
     get = acc.get
     if j == 0:
         m, delta = ctx.m, ctx.delta
+        if not m:  # the trivial module: every E_ab acts on it as 0
+            return _vector(ctx, v.A, acc) if own else None
         for (mu, slots), coeff in v.terms.items():
             head, tail = slots[: k - 1], slots[k:]
             for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):

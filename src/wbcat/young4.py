@@ -32,11 +32,10 @@ walk endpoints into per-weight dimension predictions for the oracle
 cross-checks.
 """
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import orseq, rt_counts
+from .diagrams import orseq
 
 # boxes() mode -> (slot of the step, action of the step)
 _MODES = {
@@ -180,15 +179,10 @@ class FourYoungSeq:
 def enumerate_Y(A, m, n, delta):
     """All legal walks for A.  Full-width strips (m, n >= r+t) give counts
     2, 6, 20 at r+t = 1, 2, 3 — see the module docstring for why the
-    dimension figure 2^{r+t}(r+t)! is not a walk count."""
+    dimension figure 2^{r+t}(r+t)! is not a walk count.  On a narrower strip
+    (m or n < r+t) boxes get truncated and the counts shrink: the walks are
+    still exact, but the dimension identities above are not certified."""
     A = orseq(A)
-    r, t = rt_counts(A)
-    if m < r + t or n < r + t:
-        warnings.warn(
-            "strip narrower than the walk length (m or n < r+t); "
-            "boxes get truncated and counts shrink",
-            stacklevel=2,
-        )
     start = base_diagram(m, n, delta)
     walks = []
 

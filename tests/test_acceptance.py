@@ -12,7 +12,6 @@ the multiplicities.
 
 import random
 import time
-import warnings
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -57,11 +56,9 @@ def test_criterion_1_dimension_formula():
     t0 = time.monotonic()
     p = make_params(4, 4, 0)
     expected = {1: 2, 2: 8, 3: 48, 4: 384}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, want in expected.items():
-            for A in product((1, -1), repeat=k):
-                assert len(cyclotomic.basis(A, p)) == want, (A, want)
+    for k, want in expected.items():
+        for A in product((1, -1), repeat=k):
+            assert len(cyclotomic.basis(A, p)) == want, (A, want)
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"dimension scan took {elapsed:.1f}s"
     print(f"criterion 1 PASS: basis sizes 2/8/48/384 on all orderings ({elapsed:.2f}s)")
@@ -77,9 +74,7 @@ def test_criterion_2_faithfulness():
         p = make_params(3, 3, delta)
         for A in [A for k in (2, 3) for A in product((1, -1), repeat=k)]:
             rank = faithfulness_rank(A, p)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                size = len(cyclotomic.basis(A, p))
+            size = len(cyclotomic.basis(A, p))
             if cyclotomic.basis_hypotheses(A, p):
                 assert rank == size, (A, delta, rank, size)
                 certified += 1
@@ -96,9 +91,7 @@ def test_criterion_2_faithfulness_four_strands():
     t0 = time.monotonic()
     A, p = (1, 1, -1, -1), make_params(4, 4, 0)
     rank = faithfulness_rank(A, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        size = len(cyclotomic.basis(A, p))
+    size = len(cyclotomic.basis(A, p))
     assert rank == 384 == size, (rank, size)
     elapsed = time.monotonic() - t0
     assert elapsed < 300, f"4-strand faithfulness took {elapsed:.1f}s"
@@ -272,19 +265,17 @@ def test_criterion_8_partition_calculus():
     # cross-checked against the rewriting engine's basis; the walk count is
     # the plain sum, 2, 6, 20.  Analysis: docs/decisions.md
     p = make_params(3, 3, 0)
-    with warnings.catch_warnings():
-        # the all-(-1) orderings have r = 0, outside the basis hypotheses;
-        # as in criterion 1 the monomial list is still counted there
-        warnings.simplefilter("ignore")
-        for k, walk_count in ((1, 2), (2, 6), (3, 20)):
-            want = 2**k * [1, 1, 2, 6][k]
-            for A in product((1, -1), repeat=k):
-                walks = young4.enumerate_Y(A, 3, 3, 0)
-                mult = Counter(young4.composition_factors(A, 3, 3, 0))
-                squares = sum(v * v for v in mult.values())
-                assert squares == want, (A, dict(mult))
-                assert squares == len(cyclotomic.basis(A, p)), A
-                assert len(walks) == sum(mult.values()) == walk_count, A
+    # the all-(-1) orderings have r = 0, outside the basis hypotheses; as in
+    # criterion 1 the monomial list is still counted there
+    for k, walk_count in ((1, 2), (2, 6), (3, 20)):
+        want = 2**k * [1, 1, 2, 6][k]
+        for A in product((1, -1), repeat=k):
+            walks = young4.enumerate_Y(A, 3, 3, 0)
+            mult = Counter(young4.composition_factors(A, 3, 3, 0))
+            squares = sum(v * v for v in mult.values())
+            assert squares == want, (A, dict(mult))
+            assert squares == len(cyclotomic.basis(A, p)), A
+            assert len(walks) == sum(mult.values()) == walk_count, A
     print(
         "criterion 8 clause 1 PASS: walk counts 2/6/20; squared endpoint "
         "multiplicities sum to 2^{r+t}(r+t)! = basis size"

@@ -1,5 +1,4 @@
 import ast
-from contextlib import nullcontext
 import hashlib
 import importlib
 from itertools import product
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wbcat
-from wbcat import cli
+from wbcat import affine, cli
 from wbcat.affine import OmegaSpec, multiply
 from wbcat.cli import main
 from wbcat.cyclotomic import make_params
@@ -47,11 +46,11 @@ def test_dim_outside_basis_hypotheses_is_not_a_dimension(capsys):
 
 def test_struct_consts_outside_basis_hypotheses_is_not_a_dimension(capsys):
     args = ("--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0")
-    with pytest.warns(UserWarning, match="basis hypotheses") as record:
-        code, out, _ = run_main(capsys, "struct-consts", *args)
-    assert len(record) == 1  # the basis is enumerated once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # stdout says it, and only stdout
+        code, out, err = run_main(capsys, "struct-consts", *args)
     got = json.loads(out)
-    assert code == 0 and "dim" not in got
+    assert (code, err) == (0, "") and "dim" not in got
     assert (got["certified"], got["spanning"]) == (False, 8) and got["triples"]
 
 
@@ -336,10 +335,11 @@ _STRUCT3_DIGESTS = {
 def test_struct_consts_bytes_on_every_3_strand_ordering(capsys, A, mnd, digest):
     m, n, delta = map(str, mnd)
     seq = ",".join(map(str, A))
-    # with no up strand (r = 0) the basis theorem does not apply
-    with pytest.warns(UserWarning, match="basis hypotheses") if 1 not in A else nullcontext():
-        code, out, _ = run_main(capsys, "struct-consts", f"--seq={seq}", "--m", m, "--n", n, "--delta", delta)
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    # with no up strand (r = 0) the basis theorem does not apply, and stdout
+    # says so with "certified":false
+    code, out, err = run_main(capsys, "struct-consts", f"--seq={seq}", "--m", m, "--n", n, "--delta", delta)
+    assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    assert ('"certified":false' in out) == (1 not in A)
 
 
 def _term(coeff, arcs, gamma, eta):
@@ -469,22 +469,37 @@ def test_center_test_checks_the_swap_of_separated_strands(capsys):
     assert code == 0 and out == '{"central":true}\n'
 
 
-def test_warnings_are_json_lines_on_stderr(capsys):
-    cases = [
-        (("young-enum", "--seq", "1,1,-1,-1,1", "--m", "4", "--n", "4", "--delta", "2"),
-         '{"warning": "strip narrower than the walk length (m or n < r+t); '
-         'boxes get truncated and counts shrink"}\n'),
-        (("struct-consts", "--seq=-1,-1", "--m", "2", "--n", "2", "--delta", "0"),
-         '{"warning": "basis hypotheses violated (need m, n >= r+t and r >= 1); '
-         'the monomial list may not be linearly independent"}\n'),
-    ]
-    for args, line in cases:
+# stdout of these calls before "certified" was added there; each call then
+# wrote a {"warning": ...} line on stderr instead
+_UNCERTIFIED = {
+    ("basis", "--seq=-1", "--m", "2", "--n", "2", "--delta", "0"):
+        '{"count":2,"monomials":[{"arcs":[["b1","t1"]],"bottom":[-1],"eta":[0],"gamma":[0],'
+        '"top":[-1]},{"arcs":[["b1","t1"]],"bottom":[-1],"eta":[0],"gamma":[1],"top":[-1]}]}',
+    ("young-enum", "--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0"):
+        '{"count":4,"factors":[[0,0],[1,-1],[-1,1],[0,0]],"sequences":[[["add_above",1,"1"],'
+        '["remove_above",1,"1"]],[["add_above",1,"1"],["add_below",2,"1"]],[["add_above",2,"0"],'
+        '["add_below",1,"0"]],[["add_above",2,"0"],["remove_above",2,"0"]]]}',
+    ("spectrum", "--seq", "1,-1", "--m", "1", "--n", "1", "--delta", "0"):
+        '{"count":4,"tuples":[["0","0"],["0","0"],["1","-1"],["1","1"]]}',
+}
+
+
+def test_uncertified_answers_say_so_once_on_stdout():
+    # outside the basis hypotheses, or on a strip narrower than the walk, the
+    # answer gains "certified":false on stdout, and stderr stays empty
+    for args, before in _UNCERTIFIED.items():
         r = subprocess.run([sys.executable, "-m", "wbcat.cli", *args], capture_output=True, text=True)
-        assert r.returncode == 0 and r.stderr == line and r.stdout
-    before = warnings.formatwarning
-    with pytest.warns(UserWarning, match="strip narrower"):
-        assert main(list(cases[0][0])) == 0
-    assert warnings.formatwarning is before  # main puts the formatter back
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout) == {**json.loads(before), "certified": False}
+    for args in (("struct-consts", "--seq=-1,-1", "--m", "2", "--n", "2", "--delta", "0"),
+                 ("young-enum", "--seq", "1,1,-1,-1,1", "--m", "4", "--n", "4", "--delta", "2")):
+        r = subprocess.run([sys.executable, "-m", "wbcat.cli", *args], capture_output=True, text=True)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout)["certified"] is False
+    # inside the hypotheses the key is absent
+    r = subprocess.run([sys.executable, "-m", "wbcat.cli", "basis", "--seq=1,-1", "--m", "2",
+                        "--n", "2", "--delta", "0"], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "") and "certified" not in json.loads(r.stdout)
 
 
 def test_wseries(capsys):
@@ -492,6 +507,29 @@ def test_wseries(capsys):
     assert code == 0 and json.loads(out) == {"poly": "16"}
     code, _, err = run_main(capsys, "wseries", "--seq", "1,1", "--i", "1", "--k", "0", "--m", "2", "--n", "2", "--delta", "0")
     assert code == 1 and "orientation" in err
+
+
+def test_verify_relations_reports_a_failing_relation(capsys, monkeypatch):
+    # planted fault: a crossing consumes a dot with the wrong sign, so
+    # s_i y_i = y_{i+1} s_i - 1 fails on (1,1), and only that relation
+    step = affine._step
+
+    def flipped(s_variant, pos, i):
+        new_pos, sign, has_cap = step(s_variant, pos, i)
+        return new_pos, -sign, has_cap
+
+    monkeypatch.setattr(affine, "_step", flipped)
+    wbcat.clear_caches()
+    try:
+        code, out, err = run_main(capsys, "verify-relations", "--seq", "1,1")
+    finally:
+        monkeypatch.undo()
+        wbcat.clear_caches()
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["all_ok"] is False and rep["failed"] == ["dot_cross"]
+    code, out, _ = run_main(capsys, "verify-relations", "--seq", "1,1")
+    assert code == 0 and json.loads(out)["all_ok"] is True
 
 
 def test_verify_relations(capsys):

@@ -14,6 +14,7 @@ from wbcat.affine import OmegaSpec, multiply, reduce as affine_reduce
 from wbcat.cyclotomic import (
     CycloParams,
     basis,
+    basis_hypotheses,
     center_basis,
     cyclo_reduce,
     endomorphism_generators,
@@ -151,16 +152,16 @@ def test_reduce_is_module_map_and_idempotent():
         assert cyclo_reduce(lhs, p) == lhs
 
 
-def test_basis_sizes_and_warning():
+def test_basis_sizes_outside_the_hypotheses_too():
     p = make_params(4, 4, 1)
     assert len(basis((1,), p)) == 2
     assert len(basis((1, -1), p)) == 8
     assert len(basis((1, 1, -1), p)) == 48
     small = make_params(1, 1, 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = basis((1, -1), small)
-        assert len(out) == 8 and len(caught) == 1
+    assert not basis_hypotheses((1, -1), small)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # basis stays silent; the CLI says "certified":false
+        assert len(basis((1, -1), small)) == 8
 
 
 def test_structure_constants_unital_associative():
@@ -337,9 +338,7 @@ def test_reduce_of_a_deep_dot_stack_does_not_recurse(capsys):
 )
 def test_structure_constants_are_pinned(A, mnd, size, want):
     # digests of the tables that the rewrite-to-fixpoint loop produced
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = structure_constants(A, make_params(*mnd))
+    table = structure_constants(A, make_params(*mnd))
     text = json.dumps([[i, j, k, str(c)] for (i, j, k), c in sorted(table.items())])
     assert len(table) == size
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want

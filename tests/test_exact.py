@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,26 @@ def test_sparse_rank_integral_fractions_become_ints():
         assert all(scaled[k] * row[0] == scaled[0] * row[k] for k in scaled)
     assert _int_row({0: F(4, 2), 1: 3}) == {0: 2, 1: 3}
     assert _check_sparse_rank([{0: F(4, 2), 1: F(6, 3)}, {0: 1, 1: 1}, {1: F(9, 3)}]) == 2
+
+
+def test_half_integer_rows_match_their_doubles():
+    # rows of an odd-N representation carry halves; _int_row scales them in
+    # int arithmetic, and the answers equal those of the doubled int rows
+    rng = random.Random(7)
+    for _ in range(60):
+        halves = [
+            {k: F(rng.randint(-7, 7), 2) if rng.random() < 0.6 else rng.randint(-3, 3)
+             for k in rng.sample(range(6), rng.randint(0, 5))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        a, b = halves[0], halves[-1]
+        halves.append({k: 3 * a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)})  # dependent
+        doubled = [{k: int(2 * v) for k, v in row.items()} for row in halves]
+        assert all(type(x) is int for row in halves for x in _int_row(row).values())
+        assert sparse_rank(halves) == sparse_rank(doubled)
+        assert rref(halves) == rref(doubled)
+        assert nullspace(halves, 6) == nullspace(doubled, 6)
+    assert _int_row({0: F(1, 2), 1: 3, 2: F(-3, 4), 3: F(5)}) == {0: 2, 1: 12, 2: -3, 3: 20}
 
 
 def test_sparse_rank_large_entries():
