@@ -31,10 +31,17 @@ Between the module and a slot it is read from a second cached table
 value d with the module action that goes with it, already signed. A dot
 y_i splits into a slot part, N/2 + sum_{1<=k<i} Omega_{ki}, which depends
 on the slot tuple alone and is read from a third cached table
-(_dot_slots, built from _slot_pair), and the module term Omega_{0i}, one
-omega_pair call. Both go into one accumulator, cleaned once (exact.clean).
-Every other sum of vectors is one call of exact.lincomb, the kernel shared
-with the rewriting engine.
+(_dot_slots, summed from _pair_slots rows), and the module term
+Omega_{0i}, one omega_pair call. Both go into one accumulator, cleaned
+once (exact.clean). Every other sum of vectors is one call of
+exact.lincomb, the kernel shared with the rewriting engine.
+
+No slot tuple is rebuilt per term: every rewritten one is read from a
+cached table keyed by the slot tuple, never by the monomial mu, so the
+tables stay as small as the set of slot tuples. _slot_choices gives slot k
+set to each d (the module term of Omega), _slot_swap the crossing,
+_slot_cups the cup (d, d) of a cap-cup, and _pair_slots Omega between two
+slots with its signs.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -141,17 +148,48 @@ def _module_slot(N: int, m: int, delta: int, up: bool, c: int, mu: tuple):
 
 
 @lru_cache(maxsize=None)
+def _slot_choices(N: int, slots: tuple, k: int):
+    """The slot tuple with slot k set to d, for d = 1..N: entry d - 1."""
+    head, tail = slots[: k - 1], slots[k:]
+    return tuple(head + (d,) + tail for d in range(1, N + 1))
+
+
+@lru_cache(maxsize=None)
+def _slot_swap(slots: tuple, i: int):
+    """The slot tuple with slots i and i + 1 exchanged (the crossing c_i)."""
+    return slots[: i - 1] + (slots[i], slots[i - 1]) + slots[i + 1 :]
+
+
+@lru_cache(maxsize=None)
+def _slot_cups(N: int, slots: tuple, i: int):
+    """The slot tuple with slots i, i + 1 set to (d, d), for d = 1..N (the
+    cup of e_i and eh_i)."""
+    head, tail = slots[: i - 1], slots[i + 1 :]
+    return tuple(head + (d, d) + tail for d in range(1, N + 1))
+
+
+@lru_cache(maxsize=None)
+def _pair_slots(N: int, up_j: bool, up_k: bool, slots: tuple, j: int, k: int):
+    """Omega between slots j < k on the slot tuple alone: ((slots', sign),
+    ...), one entry per _slot_pair term (no two share a slot tuple)."""
+    out = []
+    for e2, c2, sgn in _slot_pair(N, up_j, up_k, slots[j - 1], slots[k - 1]):
+        ns = list(slots)
+        ns[j - 1], ns[k - 1] = e2, c2
+        out.append((tuple(ns), sgn))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _dot_slots(N: int, A: tuple, i: int, slots: tuple):
     """N/2 + sum_{1 <= k < i} Omega_{ki} on the slot tuple alone:
     ((slots', coeff), ...), clean (exact.clean). The slot part of y_i."""
     acc = {slots: N // 2 if N % 2 == 0 else Fraction(N, 2)}
     get = acc.get
-    up_i, c = A[i - 1] == 1, slots[i - 1]
+    up_i = A[i - 1] == 1
     for k in range(1, i):
-        for e2, c2, sgn in _slot_pair(N, A[k - 1] == 1, up_i, slots[k - 1], c):
-            ns = list(slots)
-            ns[k - 1], ns[i - 1] = e2, c2
-            ns = tuple(ns)
+        # the uncached body: this table keeps the summed row, not the parts
+        for ns, sgn in _pair_slots.__wrapped__(N, A[k - 1] == 1, up_i, slots, k, i):
             acc[ns] = get(ns, 0) + sgn
     return tuple(clean(acc).items())
 
@@ -202,6 +240,8 @@ class ModuleVector:
         return self._plus(-1, other)
 
     def _plus(self, c, other) -> "ModuleVector":
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ValueError("module mismatch")
         if other.A != self.A:
             raise ValueError("object mismatch")
         return _vector(self.ctx, self.A, lincomb(((1, self.terms), (c, other.terms))))
@@ -214,7 +254,7 @@ class ModuleVector:
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
             return (
-                self.ctx == other.ctx
+                (self.ctx is other.ctx or self.ctx == other.ctx)
                 and self.A == other.A
                 and self.terms == other.terms
             )
@@ -235,7 +275,14 @@ def zero_vector(ctx, A) -> ModuleVector:
 
 
 def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
-    """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only."""
+    """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only; ctx
+    must be v's module and 1 <= a, b <= N."""
+    if ctx is not v.ctx and ctx != v.ctx:
+        raise ValueError("module mismatch")
+    if not (1 <= a <= ctx.N and 1 <= b <= ctx.N):
+        raise ValueError("E_ab needs 1 <= a, b <= N")
+    if not 0 <= pos <= len(v.A):
+        raise ValueError("factor index out of range")
     acc = {}
     if pos == 0:
         if not ctx.m:  # the trivial module: every E_ab acts on it as 0
@@ -249,7 +296,7 @@ def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
         for (mu, slots), coeff in v.terms.items():
             hit = _slot_E(up, a, b, slots[pos - 1])
             if hit:
-                key = (mu, slots[: pos - 1] + (hit[0],) + slots[pos:])
+                key = (mu, _slot_choices(ctx.N, slots, pos)[hit[0] - 1])
                 acc[key] = acc.get(key, 0) + hit[1] * coeff
     return _vector(ctx, v.A, clean(acc))
 
@@ -282,17 +329,15 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
         if not m:  # the trivial module: every E_ab acts on it as 0
             return _vector(ctx, v.A, acc) if own else None
         for (mu, slots), coeff in v.terms.items():
-            head, tail = slots[: k - 1], slots[k:]
+            choices = _slot_choices(N, slots, k)
             for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):
-                key = (nu, head + (d,) + tail)
+                key = (nu, choices[d - 1])
                 acc[key] = get(key, 0) + coeff * c2
     else:
         up_j = v.A[j - 1] == 1
         for (mu, slots), coeff in v.terms.items():
-            for e2, c2, sgn in _slot_pair(N, up_j, up_k, slots[j - 1], slots[k - 1]):
-                ns = list(slots)
-                ns[j - 1], ns[k - 1] = e2, c2
-                key = (mu, tuple(ns))
+            for ns, sgn in _pair_slots(N, up_j, up_k, slots, j, k):
+                key = (mu, ns)
                 acc[key] = get(key, 0) + sgn * coeff
     return _vector(ctx, v.A, clean(acc)) if own else None
 
@@ -317,11 +362,12 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
     """Apply one word token: a generator token (see
     diagrams.word_for_monomial) or ("o", j, k), the split Casimir
     omega_pair(v, j, k) between factor j (0 = the module) and slot k."""
-    kind, i = tok[0], tok[1]
+    kind = tok[0]
+    if kind == "y":
+        return y_apply(v, tok[1])
+    i = tok[1]
     ctx, A = v.ctx, v.A
     n = len(A)
-    if kind == "y":
-        return y_apply(v, i)
     if kind == "o":
         if not (0 <= i <= n and 1 <= tok[2] <= n):
             raise ValueError("token index out of range")
@@ -329,24 +375,20 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
     if not 1 <= i <= n - 1:
         raise ValueError("token index out of range")
     if kind == "c":
-        terms = {}
-        for (mu, slots), c in v.terms.items():
-            ns = list(slots)
-            ns[i - 1], ns[i] = ns[i], ns[i - 1]
-            terms[(mu, tuple(ns))] = c
+        terms = {(mu, _slot_swap(slots, i)): c for (mu, slots), c in v.terms.items()}
         return _vector(ctx, swap_seq(A, i), terms)
     if kind in ("e", "eh"):
         if A[i - 1] == A[i]:
             raise ValueError("generator does not exist for this object")
         newA = A if kind == "e" else swap_seq(A, i)
+        N = ctx.N
         acc = {}
         get = acc.get
         for (mu, slots), c in v.terms.items():
             if slots[i - 1] != slots[i]:
                 continue
-            head, tail = slots[: i - 1], slots[i + 1 :]
-            for d in range(1, ctx.N + 1):
-                key = (mu, head + (d, d) + tail)
+            for ns in _slot_cups(N, slots, i):
+                key = (mu, ns)
                 acc[key] = get(key, 0) + c
         return _vector(ctx, newA, clean(acc))
     raise ValueError(f"unknown token {tok!r}")

@@ -74,6 +74,46 @@ def test_apply_E_module_lowering():
     assert w.coeff(((3, 1),), (1,)) == 1
 
 
+def test_apply_E_refuses_what_is_not_gl_N_on_v():
+    # E_ab needs 1 <= a, b <= N, a factor of v's object and v's own module:
+    # E_71 once gave x_71 z (x) v_7, outside gl_4
+    ctx = GlContext.parabolic(2, 2, 0)
+    v = ModuleVector.basis_vector(ctx, (1,), (1,))
+    for a, b in ((7, 1), (1, 5), (0, 1), (2, 0)):
+        with pytest.raises(ValueError, match="1 <= a, b <= N"):
+            apply_E(ctx, a, b, v)
+        with pytest.raises(ValueError, match="1 <= a, b <= N"):
+            apply_E_at(ctx, a, b, v, 1)
+    for pos in (-1, 2, 5):
+        with pytest.raises(ValueError, match="factor index"):
+            apply_E_at(ctx, 1, 2, v, pos)
+    for other in (GlContext.parabolic(2, 2, 1), GlContext.parabolic(1, 3, 0), GlContext.trivial(4)):
+        with pytest.raises(ValueError, match="module mismatch"):
+            apply_E(other, 1, 1, v)
+    # an equal context built apart acts as v's own
+    assert apply_E(GlContext.parabolic(2, 2, 0), 3, 1, v) == apply_E(ctx, 3, 1, v)
+
+
+def test_vector_sums_refuse_another_module():
+    # + and - once checked only the object: a vector of parabolic(2,2,0)
+    # plus one of parabolic(2,2,1) came back in the first module
+    ctx = GlContext.parabolic(2, 2, 0)
+    v = ModuleVector.basis_vector(ctx, (1, -1), (1, 2))
+    for other in (GlContext.parabolic(2, 2, 1), GlContext.trivial(4)):
+        w = ModuleVector.basis_vector(other, (1, -1), (1, 2))
+        with pytest.raises(ValueError, match="module mismatch"):
+            v + w
+        with pytest.raises(ValueError, match="module mismatch"):
+            v - w
+        assert v != w
+    with pytest.raises(ValueError, match="object mismatch"):
+        v + ModuleVector.basis_vector(ctx, (-1, 1), (1, 2))
+    # equal contexts built apart are one module
+    u = ModuleVector.basis_vector(GlContext.parabolic(2, 2, 0), (1, -1), (2, 2))
+    assert (v + u).terms == {((), (1, 2)): 1, ((), (2, 2)): 1}
+    assert (v - v).is_zero() and v == ModuleVector.basis_vector(GlContext.parabolic(2, 2, 0), (1, -1), (1, 2))
+
+
 def test_trivial_y_is_scalar():
     ctx = GlContext.trivial(3)
     for b in (1, 2, 3):
@@ -458,6 +498,42 @@ def test_omega_token_is_omega_pair(A):
     for tok in (("o", 1, 1), ("o", 1, 0)):
         with pytest.raises(ValueError):
             apply_token(tok, v)
+
+
+def _oracle_words(A):
+    """Every word of every defining relation and of every IDENTITIES entry
+    (the latter bring the ("o", j, k) tokens), once each, sorted."""
+    words = set()
+    for _, (lhs, rhs) in all_instances(A):
+        words.update(tuple(w) for w in [lhs] + [w for _, w in rhs])
+    for check in glrep.IDENTITIES:
+        for _, lhs, rhs in identity_instances(check, A):
+            words.update(tuple(w) for w in [lhs] + [w for _, w in rhs])
+    return sorted(words)
+
+
+@pytest.mark.parametrize(
+    "ctx, A, nwords, digest",
+    [
+        (GlContext.parabolic(2, 2, 0), (1, 1, -1), 106, "8ecbd28a125abe92"),
+        (GlContext.parabolic(2, 2, 0), (-1, -1, -1), 67, "b462044f2e4870b6"),
+        (GlContext.parabolic(2, 1, 1), (1, -1, 1), 132, "b6c86eb30b060437"),
+        (GlContext.trivial(3), (1, 1, -1), 106, "62739b7a9da91f7c"),
+    ],
+    ids=["p220-(1,1,-1)", "p220-(-1,-1,-1)", "p211-(1,-1,1)", "trivial3-(1,1,-1)"],
+)
+def test_oracle_images_are_pinned(ctx, A, nwords, digest):
+    # the image of every relation and identity word on every degree <= 2
+    # spanning vector, terms in sorted order with their exact coefficient
+    # types; the digests were recorded before the slot tuples came from
+    # tables, so the token action is unchanged term for term
+    words = _oracle_words(A)
+    assert len(words) == nwords
+    h = hashlib.sha256()
+    for v in spanning_vectors(ctx, A, max_deg=2):
+        for word in words:
+            h.update(repr(sorted(apply_word(word, v).terms.items())).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 # identities of the table that restate defining relations
