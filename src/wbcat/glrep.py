@@ -36,12 +36,11 @@ Omega_{0i}, one omega_pair call. Both go into one accumulator, cleaned
 once (exact.clean). Every other sum of vectors is one call of
 exact.lincomb, the kernel shared with the rewriting engine.
 
-No slot tuple is rebuilt per term: every rewritten one is read from a
-cached table keyed by the slot tuple, never by the monomial mu, so the
-tables stay as small as the set of slot tuples. _slot_choices gives slot k
-set to each d (the module term of Omega), _slot_swap the crossing,
-_slot_cups the cup (d, d) of a cap-cup, and _pair_slots Omega between two
-slots with its signs.
+The module term of Omega builds no slot tuple per term: it reads slot k
+set to each d from a cached table keyed by the slot tuple, never by the
+monomial mu (_slot_choices), so the table stays as small as the set of
+slot tuples. _pair_slots gives Omega between two slots with its signs,
+for the dot table and the ("o", j, k) tokens alike.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -154,30 +153,13 @@ def _slot_choices(N: int, slots: tuple, k: int):
     return tuple(head + (d,) + tail for d in range(1, N + 1))
 
 
-@lru_cache(maxsize=None)
-def _slot_swap(slots: tuple, i: int):
-    """The slot tuple with slots i and i + 1 exchanged (the crossing c_i)."""
-    return slots[: i - 1] + (slots[i], slots[i - 1]) + slots[i + 1 :]
-
-
-@lru_cache(maxsize=None)
-def _slot_cups(N: int, slots: tuple, i: int):
-    """The slot tuple with slots i, i + 1 set to (d, d), for d = 1..N (the
-    cup of e_i and eh_i)."""
-    head, tail = slots[: i - 1], slots[i + 1 :]
-    return tuple(head + (d, d) + tail for d in range(1, N + 1))
-
-
-@lru_cache(maxsize=None)
 def _pair_slots(N: int, up_j: bool, up_k: bool, slots: tuple, j: int, k: int):
-    """Omega between slots j < k on the slot tuple alone: ((slots', sign),
-    ...), one entry per _slot_pair term (no two share a slot tuple)."""
-    out = []
+    """Omega between slots j < k on the slot tuple alone: (slots', sign)
+    per _slot_pair term (no two share a slot tuple)."""
     for e2, c2, sgn in _slot_pair(N, up_j, up_k, slots[j - 1], slots[k - 1]):
         ns = list(slots)
         ns[j - 1], ns[k - 1] = e2, c2
-        out.append((tuple(ns), sgn))
-    return tuple(out)
+        yield tuple(ns), sgn
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +170,7 @@ def _dot_slots(N: int, A: tuple, i: int, slots: tuple):
     get = acc.get
     up_i = A[i - 1] == 1
     for k in range(1, i):
-        # the uncached body: this table keeps the summed row, not the parts
-        for ns, sgn in _pair_slots.__wrapped__(N, A[k - 1] == 1, up_i, slots, k, i):
+        for ns, sgn in _pair_slots(N, A[k - 1] == 1, up_i, slots, k, i):
             acc[ns] = get(ns, 0) + sgn
     return tuple(clean(acc).items())
 
@@ -296,7 +277,7 @@ def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
         for (mu, slots), coeff in v.terms.items():
             hit = _slot_E(up, a, b, slots[pos - 1])
             if hit:
-                key = (mu, _slot_choices(ctx.N, slots, pos)[hit[0] - 1])
+                key = (mu, slots[: pos - 1] + (hit[0],) + slots[pos:])
                 acc[key] = acc.get(key, 0) + hit[1] * coeff
     return _vector(ctx, v.A, clean(acc))
 
@@ -375,20 +356,24 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
     if not 1 <= i <= n - 1:
         raise ValueError("token index out of range")
     if kind == "c":
-        terms = {(mu, _slot_swap(slots, i)): c for (mu, slots), c in v.terms.items()}
+        terms = {}
+        for (mu, slots), c in v.terms.items():
+            ns = list(slots)
+            ns[i - 1], ns[i] = ns[i], ns[i - 1]
+            terms[(mu, tuple(ns))] = c
         return _vector(ctx, swap_seq(A, i), terms)
     if kind in ("e", "eh"):
         if A[i - 1] == A[i]:
             raise ValueError("generator does not exist for this object")
         newA = A if kind == "e" else swap_seq(A, i)
-        N = ctx.N
         acc = {}
         get = acc.get
         for (mu, slots), c in v.terms.items():
             if slots[i - 1] != slots[i]:
                 continue
-            for ns in _slot_cups(N, slots, i):
-                key = (mu, ns)
+            head, tail = slots[: i - 1], slots[i + 1 :]
+            for d in range(1, ctx.N + 1):
+                key = (mu, head + (d, d) + tail)
                 acc[key] = get(key, 0) + c
         return _vector(ctx, newA, clean(acc))
     raise ValueError(f"unknown token {tok!r}")
