@@ -7,9 +7,9 @@ of weight -delta(eps_1+...+eps_m) for the two-block parabolic
 gl_m + gl_n + (upper right), N = m + n (GlContext). The negative
 nilradical u^- = span{E_ij : i > m >= j} is abelian, so PBW monomials
 x^mu z in the symbols x_ij form a basis of M; module vectors are finite
-exact combinations of keys (mu, slots). At m = 0, u^- is empty and the
-highest weight is 0: M is the trivial module, on which every module term
-below is zero, so one code path serves both. A coefficient is an int
+exact combinations of basis keys (mu, slots). At m = 0, u^- is empty and
+the highest weight is 0: M is the trivial module, on which every module
+term below is zero, so one code path serves both. A coefficient is an int
 whenever it is integral and a Fraction only when it is not: the action is
 defined over Z[1/2], and halves come only from the N/2 shift of y at odd
 N or from scaling by a non-integral Fraction.
@@ -23,24 +23,30 @@ E_ab v*_c = -delta_ac v*_b on V^-1; on the module factor E_ab commutes
 past the x-symbols via [E_ab, E_ij] = delta_bi E_aj - delta_ja E_ib down
 to E_aa z = -delta z (a <= m) and E u^- multiplication.
 
-Between two slots, Omega is read from a small cached table (_slot_pair)
-built from the slot rule above by summing over (a, b): a swap when the
-slots have the same orientation, minus a cap-cup when they are opposite.
-Between the module and a slot it is read from a second cached table
-(_module_slot): for one slot value and one PBW monomial, every new slot
-value d with the module action that goes with it, already signed. A dot
-y_i splits into a slot part, N/2 + sum_{1<=k<i} Omega_{ki}, which depends
-on the slot tuple alone and is read from a third cached table
-(_dot_slots, summed from _pair_slots rows), and the module term
-Omega_{0i}, one omega_pair call. Both go into one accumulator, cleaned
+A vector stores each basis key as one int: on k strands, key =
+index(mu) * N^k + sum_j (s_j - 1) * N^(k-j), the slots as big-endian
+base-N digits below the index of mu in one process-wide intern table
+(_mu_id).
+The table only grows; wbcat.clear_caches() leaves it, since live vectors
+hold its indices. v.terms decodes the keys to (mu, slots) in the stored
+order, so every public result reads as it would with tuple keys.
+
+The token action is digit arithmetic on these ints. A crossing adds to a
+key the offset that swaps its two digits. A cap-cup, where the two digits
+agree, moves both to each d in turn; its N offsets are read from a small
+table indexed by the two digits (_cup_offsets).
+Between two slots, Omega is read from a cached table (_slot_pair) built
+from the slot rule above by summing over (a, b): a swap when the slots have
+the same orientation, minus a cap-cup when they are opposite; _pair_slots
+turns its rows into key offsets. Between the module and a slot it is read
+from a second cached table (_module_slot) keyed by the slot value and the
+mu index: every new slot value d with the module action that goes with it,
+already signed and as a key offset. A dot y_i splits into a slot part,
+N/2 + sum_{1<=k<i} Omega_{ki}, which depends on the slot digits alone and
+is a cached row of key offsets per slot code (_dot_slots), and the module
+term Omega_{0i}, one omega_pair call. Both go into one accumulator, cleaned
 once (exact.clean). Every other sum of vectors is one call of
 exact.lincomb, the kernel shared with the rewriting engine.
-
-The module term of Omega builds no slot tuple per term: it reads slot k
-set to each d from a cached table keyed by the slot tuple, never by the
-monomial mu (_slot_choices), so the table stays as small as the set of
-slot tuples. _pair_slots gives Omega between two slots with its signs,
-for the dot table and the ("o", j, k) tokens alike.
 
 This module is the independent route against which the diagrammatic
 engines are checked: represent() pushes a decorated element through its
@@ -65,7 +71,7 @@ from .diagrams import (
     swap_seq,
     word_for_monomial,
 )
-from .exact import Record, clean, lincomb, nullspace, sparse_rank
+from .exact import Record, clean, lincomb, nullspace, num, sparse_rank
 from .relations import _OFF  # position i, strand j off it
 
 
@@ -88,6 +94,49 @@ class GlContext(Record):
         if m < 1 or n < 1:
             raise ValueError("parabolic kind needs m, n >= 1")
         return cls(m, n, delta)
+
+
+# the PBW monomials mu of every key so far, by index; append-only (live
+# vectors hold the indices), so it is not a cache and clear_caches leaves it
+_MUS = [()]
+_MU_IDS = {(): 0}
+
+
+def _mu_id(mu: tuple) -> int:
+    """The index of the sorted monomial mu in _MUS, appending it if new."""
+    i = _MU_IDS.get(mu)
+    if i is None:
+        i = _MU_IDS[mu] = len(_MUS)
+        _MUS.append(mu)
+    return i
+
+
+def _key(ctx: GlContext, A: tuple, mu, slots) -> int:
+    """The int key of x^mu z (x) v_slots (module docstring), refusing
+    anything that is not a basis key of M (x) V^{(x)A}."""
+    slots = tuple(slots)
+    N = ctx.N
+    if len(slots) != len(A):
+        raise ValueError("slot count mismatch")
+    if not all(s.__class__ is int and 1 <= s <= N for s in slots):
+        raise ValueError("slot index out of range")
+    for i, j in mu:
+        if not (ctx.m < i <= N and 1 <= j <= ctx.m):
+            raise ValueError(f"x_{i}{j} is not a symbol of u^-")
+    key = _mu_id(tuple(sorted(mu)))
+    for s in slots:
+        key = key * N + s - 1
+    return key
+
+
+@lru_cache(maxsize=None)
+def _slot_tuple(N: int, k: int, code: int) -> tuple:
+    """The slots of a slot code on k strands, the inverse of _key's digits."""
+    slots = []
+    for _ in range(k):
+        code, d = divmod(code, N)
+        slots.append(d + 1)
+    return tuple(reversed(slots))
 
 
 @lru_cache(maxsize=None)
@@ -133,86 +182,105 @@ def _slot_pair(N: int, up_j: bool, up_k: bool, e: int, c: int):
 
 
 @lru_cache(maxsize=None)
-def _module_slot(N: int, m: int, delta: int, up: bool, c: int, mu: tuple):
-    """Omega between the module and a slot holding v_c (up) or v*_c, on
-    x^mu z: ((d, coeff, nu), ...), the slot becoming d and x^mu z becoming
+def _cup_offsets(N: int, w: int):
+    """Per pair p = N * d + d' of a digit d of weight N * w and the next
+    digit d' (weight w): the offsets that set both digits to each value in
+    turn where d = d', none where they differ."""
+    out = []
+    for p in range(N * N):
+        d, rest = divmod(p, N + 1)
+        out.append(tuple((t - d) * (N + 1) * w for t in range(N)) if not rest else ())
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _module_slot(N: int, m: int, delta: int, up: bool, w: int, P: int, c: int, mid: int):
+    """Omega between the module and the slot of digit weight w holding v_c
+    (up) or v*_c, on keys with monomial index mid below P = N^k:
+    ((offset, coeff), ...), the slot becoming d and x^mu z becoming
     coeff * x^nu z, with int coefficients."""
+    mu = _MUS[mid]
     out = []
     for d in range(1, N + 1):
         # E_ba sends the slot from c to d (by _slot_E); E_ab acts on M
         a, b = (c, d) if up else (d, c)
         for c2, nu in _module_action(m, delta, a, b, mu):
-            out.append((d, c2 if up else -c2, nu))
+            out.append(((_mu_id(nu) - mid) * P + (d - c) * w, c2 if up else -c2))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _slot_choices(N: int, slots: tuple, k: int):
-    """The slot tuple with slot k set to d, for d = 1..N: entry d - 1."""
-    head, tail = slots[: k - 1], slots[k:]
-    return tuple(head + (d,) + tail for d in range(1, N + 1))
-
-
-def _pair_slots(N: int, up_j: bool, up_k: bool, slots: tuple, j: int, k: int):
-    """Omega between slots j < k on the slot tuple alone: (slots', sign)
-    per _slot_pair term (no two share a slot tuple)."""
-    for e2, c2, sgn in _slot_pair(N, up_j, up_k, slots[j - 1], slots[k - 1]):
-        ns = list(slots)
-        ns[j - 1], ns[k - 1] = e2, c2
-        yield tuple(ns), sgn
+def _pair_slots(N: int, up_j: bool, up_k: bool, key: int, wj: int, wk: int):
+    """Omega between the slots of digit weights wj > wk on a key: (offset,
+    sign) per _slot_pair term (no two share an offset)."""
+    e, c = key // wj % N, key // wk % N
+    for e2, c2, sgn in _slot_pair(N, up_j, up_k, e + 1, c + 1):
+        yield (e2 - 1 - e) * wj + (c2 - 1 - c) * wk, sgn
 
 
 @lru_cache(maxsize=None)
-def _dot_slots(N: int, A: tuple, i: int, slots: tuple):
-    """N/2 + sum_{1 <= k < i} Omega_{ki} on the slot tuple alone:
-    ((slots', coeff), ...), clean (exact.clean). The slot part of y_i."""
-    acc = {slots: N // 2 if N % 2 == 0 else Fraction(N, 2)}
+def _dot_slots(N: int, A: tuple, i: int, code: int):
+    """N/2 + sum_{1 <= k < i} Omega_{ki} on the slot code alone:
+    ((offset, coeff), ...), clean (exact.clean). The slot part of y_i."""
+    n = len(A)
+    acc = {0: N // 2 if N % 2 == 0 else Fraction(N, 2)}
     get = acc.get
-    up_i = A[i - 1] == 1
+    up_i, w_i = A[i - 1] == 1, N ** (n - i)
     for k in range(1, i):
-        for ns, sgn in _pair_slots(N, A[k - 1] == 1, up_i, slots, k, i):
-            acc[ns] = get(ns, 0) + sgn
+        for off, sgn in _pair_slots(N, A[k - 1] == 1, up_i, code, N ** (n - k), w_i):
+            acc[off] = get(off, 0) + sgn
     return tuple(clean(acc).items())
 
 
 def _vector(ctx: GlContext, A: tuple, terms: dict) -> "ModuleVector":
-    """A ModuleVector over terms that are already clean (exact.clean)."""
+    """A ModuleVector over int keys that are already clean (exact.clean)."""
     v = ModuleVector.__new__(ModuleVector)
-    v.ctx, v.A, v.terms = ctx, A, terms
+    v.ctx, v.A, v._terms = ctx, A, terms
     return v
 
 
 class ModuleVector:
-    """Exact vector in M (x) V^{(x)A}: keys (mu, slots) -> nonzero int, or
-    Fraction when the coefficient is not integral. Sums go through the
-    kernel exact.lincomb. Vectors are never changed in place, so one may be
+    """Exact vector in M (x) V^{(x)A}: int keys (module docstring) ->
+    nonzero int, or Fraction when the coefficient is not integral; `terms`
+    reads them as basis keys (mu, slots). Sums go through the kernel
+    exact.lincomb. Vectors are never changed in place, so one may be
     shared: scale(1) returns the vector itself."""
 
-    __slots__ = ("ctx", "A", "terms")
+    __slots__ = ("ctx", "A", "_terms")
 
     def __init__(self, ctx: GlContext, A, terms=None):
         self.ctx = ctx
         self.A = orseq(A)
-        self.terms = lincomb(((1, terms or {}),))
+        acc = {}
+        for (mu, slots), c in (terms or {}).items():
+            key = _key(ctx, self.A, mu, slots)
+            acc[key] = acc.get(key, 0) + num(c)
+        self._terms = clean(acc)
 
     @classmethod
     def basis_vector(cls, ctx, A, slots, mu=()) -> "ModuleVector":
         A = orseq(A)
-        slots = tuple(slots)
-        if len(slots) != len(A):
-            raise ValueError("slot count mismatch")
-        if not all(1 <= s <= ctx.N for s in slots):
-            raise ValueError("slot index out of range")
-        for i, j in mu:
-            if not (ctx.m < i <= ctx.N and 1 <= j <= ctx.m):
-                raise ValueError(f"x_{i}{j} is not a symbol of u^-")
-        return _vector(ctx, A, {(tuple(sorted(mu)), slots): 1})
+        return _vector(ctx, A, {_key(ctx, A, mu, slots): 1})
+
+    @property
+    def terms(self) -> dict:
+        """The terms as {(mu, slots): coefficient}, in the stored order."""
+        N, k = self.ctx.N, len(self.A)
+        P = N ** k
+        out = {}
+        for key, c in self._terms.items():
+            mid, code = divmod(key, P)
+            out[_MUS[mid], _slot_tuple(N, k, code)] = c
+        return out
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coeff(self, mu, slots) -> Fraction:
-        return Fraction(self.terms.get((tuple(sorted(mu)), tuple(slots)), 0))
+        try:
+            key = _key(self.ctx, self.A, mu, slots)
+        except ValueError:  # not a basis key of this space
+            return Fraction(0)
+        return Fraction(self._terms.get(key, 0))
 
     def __add__(self, other) -> "ModuleVector":
         return self._plus(1, other)
@@ -225,24 +293,28 @@ class ModuleVector:
             raise ValueError("module mismatch")
         if other.A != self.A:
             raise ValueError("object mismatch")
-        return _vector(self.ctx, self.A, lincomb(((1, self.terms), (c, other.terms))))
+        return _vector(self.ctx, self.A, lincomb(((1, self._terms), (c, other._terms))))
 
     def scale(self, c) -> "ModuleVector":
         if c.__class__ is int and c == 1:
             return self
-        return _vector(self.ctx, self.A, lincomb(((c, self.terms),)))
+        return _vector(self.ctx, self.A, lincomb(((c, self._terms),)))
 
     def __eq__(self, other):
         if isinstance(other, ModuleVector):
             return (
                 (self.ctx is other.ctx or self.ctx == other.ctx)
                 and self.A == other.A
-                and self.terms == other.terms
+                and self._terms == other._terms
             )
         return NotImplemented
 
+    def __reduce__(self):
+        # the keys index this process's monomial table: rebuild from (mu, slots)
+        return ModuleVector, (self.ctx, self.A, self.terms)
+
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "ModuleVector(0)"
         bits = ", ".join(
             f"{c}*x{list(mu)}z(x){list(slots)}"
@@ -255,52 +327,56 @@ def zero_vector(ctx, A) -> ModuleVector:
     return ModuleVector(ctx, A)
 
 
-def apply_E_at(ctx, a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
-    """E_ab acting on factor `pos` (0 = module, k >= 1 = slot k) only; ctx
-    must be v's module and 1 <= a, b <= N."""
-    if ctx is not v.ctx and ctx != v.ctx:
-        raise ValueError("module mismatch")
-    if not (1 <= a <= ctx.N and 1 <= b <= ctx.N):
+def apply_E_at(a: int, b: int, v: ModuleVector, pos: int) -> ModuleVector:
+    """E_ab of v's module acting on factor `pos` (0 = module, k >= 1 =
+    slot k) only; 1 <= a, b <= N."""
+    ctx = v.ctx
+    N, n = ctx.N, len(v.A)
+    if not (1 <= a <= N and 1 <= b <= N):
         raise ValueError("E_ab needs 1 <= a, b <= N")
-    if not 0 <= pos <= len(v.A):
+    if not 0 <= pos <= n:
         raise ValueError("factor index out of range")
     acc = {}
+    get = acc.get
     if pos == 0:
         if not ctx.m:  # the trivial module: every E_ab acts on it as 0
             return _vector(ctx, v.A, acc)
-        for (mu, slots), coeff in v.terms.items():
-            for c2, nu in _module_action(ctx.m, ctx.delta, a, b, mu):
-                key = (nu, slots)
-                acc[key] = acc.get(key, 0) + coeff * c2
+        P = N ** n
+        for key, coeff in v._terms.items():
+            mid, code = divmod(key, P)
+            for c2, nu in _module_action(ctx.m, ctx.delta, a, b, _MUS[mid]):
+                k2 = _mu_id(nu) * P + code
+                acc[k2] = get(k2, 0) + coeff * c2
     else:
-        up = v.A[pos - 1] == 1
-        for (mu, slots), coeff in v.terms.items():
-            hit = _slot_E(up, a, b, slots[pos - 1])
+        up, w = v.A[pos - 1] == 1, N ** (n - pos)
+        for key, coeff in v._terms.items():
+            e = key // w % N + 1
+            hit = _slot_E(up, a, b, e)
             if hit:
-                key = (mu, slots[: pos - 1] + (hit[0],) + slots[pos:])
-                acc[key] = acc.get(key, 0) + hit[1] * coeff
+                k2 = key + (hit[0] - e) * w
+                acc[k2] = get(k2, 0) + hit[1] * coeff
     return _vector(ctx, v.A, clean(acc))
 
 
-def apply_E(ctx, a: int, b: int, v: ModuleVector) -> ModuleVector:
-    """Coproduct action of E_ab on the whole tensor product."""
-    parts = [(1, apply_E_at(ctx, a, b, v, pos).terms) for pos in range(len(v.A) + 1)]
-    return _vector(ctx, v.A, lincomb(parts))
+def apply_E(a: int, b: int, v: ModuleVector) -> ModuleVector:
+    """Coproduct action of E_ab of v's module on the whole tensor product."""
+    parts = [(1, apply_E_at(a, b, v, pos)._terms) for pos in range(len(v.A) + 1)]
+    return _vector(v.ctx, v.A, lincomb(parts))
 
 
 def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
     """Omega_{jk}: the split Casimir between factors j < k (0 = module).
 
-    With `acc`, a dict of terms (mu, slots) -> coefficient over the same
-    object, the terms of Omega_{jk} v are added into it and None is
-    returned; the caller cleans it (exact.clean)."""
+    With `acc`, a dict of int keys -> coefficient over the same object, the
+    terms of Omega_{jk} v are added into it and None is returned; the
+    caller cleans it (exact.clean)."""
     if j > k:
         j, k = k, j
     if j == k or k == 0:
         raise ValueError("need two distinct factors, at least one slot")
     ctx = v.ctx
-    N = ctx.N
-    up_k = v.A[k - 1] == 1
+    N, n = ctx.N, len(v.A)
+    up_k, w_k = v.A[k - 1] == 1, N ** (n - k)
     own = acc is None
     if own:
         acc = {}
@@ -309,17 +385,17 @@ def omega_pair(v: ModuleVector, j: int, k: int, acc: dict | None = None):
         m, delta = ctx.m, ctx.delta
         if not m:  # the trivial module: every E_ab acts on it as 0
             return _vector(ctx, v.A, acc) if own else None
-        for (mu, slots), coeff in v.terms.items():
-            choices = _slot_choices(N, slots, k)
-            for d, c2, nu in _module_slot(N, m, delta, up_k, slots[k - 1], mu):
-                key = (nu, choices[d - 1])
-                acc[key] = get(key, 0) + coeff * c2
+        P = N ** n
+        for key, coeff in v._terms.items():
+            for off, c2 in _module_slot(N, m, delta, up_k, w_k, P, key // w_k % N + 1, key // P):
+                k2 = key + off
+                acc[k2] = get(k2, 0) + coeff * c2
     else:
-        up_j = v.A[j - 1] == 1
-        for (mu, slots), coeff in v.terms.items():
-            for ns, sgn in _pair_slots(N, up_j, up_k, slots, j, k):
-                key = (mu, ns)
-                acc[key] = get(key, 0) + sgn * coeff
+        up_j, w_j = v.A[j - 1] == 1, N ** (n - j)
+        for key, coeff in v._terms.items():
+            for off, sgn in _pair_slots(N, up_j, up_k, key, w_j, w_k):
+                k2 = key + off
+                acc[k2] = get(k2, 0) + sgn * coeff
     return _vector(ctx, v.A, clean(acc)) if own else None
 
 
@@ -329,12 +405,14 @@ def y_apply(v: ModuleVector, i: int) -> ModuleVector:
     if not 1 <= i <= len(v.A):
         raise ValueError("dot index out of range")
     ctx, A = v.ctx, v.A
+    N = ctx.N
+    P = N ** len(A)
     acc = {}
     get = acc.get
-    for (mu, slots), coeff in v.terms.items():
-        for ns, c in _dot_slots(ctx.N, A, i, slots):
-            key = (mu, ns)
-            acc[key] = get(key, 0) + c * coeff
+    for key, coeff in v._terms.items():
+        for off, c in _dot_slots(N, A, i, key % P):
+            k2 = key + off
+            acc[k2] = get(k2, 0) + c * coeff
     omega_pair(v, 0, i, acc)
     return _vector(ctx, A, clean(acc))
 
@@ -355,26 +433,29 @@ def apply_token(tok, v: ModuleVector) -> ModuleVector:
         return omega_pair(v, i, tok[2])
     if not 1 <= i <= n - 1:
         raise ValueError("token index out of range")
+    # slots i and i + 1 are the digits of weights N * w and w of a key:
+    # d_i = q // N % N and d_{i+1} = q % N with q = key // w, and q % NN is
+    # the pair N * d_i + d_{i+1}
+    N = ctx.N
+    NN, w = N * N, N ** (n - i - 1)
     if kind == "c":
+        s = (N - 1) * w  # swapping adds (d_{i+1} - d_i) * (N * w - w)
         terms = {}
-        for (mu, slots), c in v.terms.items():
-            ns = list(slots)
-            ns[i - 1], ns[i] = ns[i], ns[i - 1]
-            terms[(mu, tuple(ns))] = c
+        for key, c in v._terms.items():
+            q = key // w
+            terms[key + (q % N - q // N % N) * s] = c
         return _vector(ctx, swap_seq(A, i), terms)
     if kind in ("e", "eh"):
         if A[i - 1] == A[i]:
             raise ValueError("generator does not exist for this object")
         newA = A if kind == "e" else swap_seq(A, i)
+        cups = _cup_offsets(N, w)
         acc = {}
         get = acc.get
-        for (mu, slots), c in v.terms.items():
-            if slots[i - 1] != slots[i]:
-                continue
-            head, tail = slots[: i - 1], slots[i + 1 :]
-            for d in range(1, ctx.N + 1):
-                key = (mu, head + (d, d) + tail)
-                acc[key] = get(key, 0) + c
+        for key, c in v._terms.items():
+            for off in cups[key // w % NN]:
+                k2 = key + off
+                acc[k2] = get(k2, 0) + c
         return _vector(ctx, newA, clean(acc))
     raise ValueError(f"unknown token {tok!r}")
 
@@ -422,7 +503,7 @@ def represent(x: DecoratedElement, v: ModuleVector) -> ModuleVector:
     """Push a decorated element through its generator word."""
     if x.bottom != v.A:
         raise ValueError("boundary mismatch")
-    parts = [(c, apply_word(word_for_monomial(m), v).terms) for m, c in x.terms.items()]
+    parts = [(c, apply_word(word_for_monomial(m), v)._terms) for m, c in x.terms.items()]
     return _vector(v.ctx, x.top, lincomb(parts))
 
 
@@ -496,9 +577,9 @@ def y1_minimal_poly(ctx: GlContext, orientation: int):
         data.append((v, v1, y_apply(v1, 1)))
     for d in (1, 2):
         rows = [
-            dict(enumerate(w.terms.get(key, 0) for w in ws[: d + 1]))
+            dict(enumerate(w._terms.get(key, 0) for w in ws[: d + 1]))
             for ws in data
-            for key in set().union(*(w.terms for w in ws[: d + 1]))
+            for key in set().union(*(w._terms for w in ws[: d + 1]))
         ]
         null = nullspace(rows, d + 1)
         if null:
@@ -531,8 +612,8 @@ def faithfulness_rank(A, params) -> int:
     beta in {1..N}^k.
 
     `params` provides m, n, delta (the cyclotomic parameter triple). One row
-    per regular monomial; one int-numbered column per pair (beta, key). The
-    rows are first built on the inputs that are first of their S_m x S_n
+    per regular monomial; one int-numbered column per pair (beta, int key).
+    The rows are first built on the inputs that are first of their S_m x S_n
     orbit (levi_inputs). Where m, n >= k, those with the most far slots
     come first (a stable sort), and the rows are ranked after inputs 1, 2,
     4, 8, ... and after the last; elsewhere, where a full rank is not
@@ -563,7 +644,7 @@ def faithfulness_rank(A, params) -> int:
             if check and represent(DecoratedElement.from_monomial(monos[i]), v) != w:
                 raise ArithmeticError(f"prefix walk and represent differ on row {i}")
             row = rows[i]
-            for key, c in w.terms.items():
+            for key, c in w._terms.items():
                 row[cols.setdefault((beta, key), len(cols))] = c
 
     # A full rank is expected only where m, n >= k, the size condition of
@@ -673,7 +754,7 @@ def verify_section8(ctx: GlContext, A, max_deg: int = 2) -> dict:
             if len(rhs) == 1 and rhs[0][0] == 1:
                 ok = lhs == next(images)
             else:
-                ok = not lincomb([(1, lhs.terms)] + [(-c, next(images).terms) for c, _ in rhs])
+                ok = not lincomb([(1, lhs._terms)] + [(-c, next(images)._terms) for c, _ in rhs])
             if not ok:
                 keys.append(next(iter(v.terms), None))
     report = {cid: {"instances": 0, "failures": []} for cid in IDENTITIES}

@@ -18,6 +18,7 @@ from wbcat.affine import (
     multiply,
     push_dot,
     reduce,
+    tok_mono,
     w_coeff,
 )
 from wbcat.cyclotomic import cyclo_reduce, make_params, w1_closed_form
@@ -38,6 +39,7 @@ from wbcat.exact import LaurentSeries, MultiPoly, series_mul, series_star
 from wbcat.glrep import (
     GlContext,
     ModuleVector,
+    apply_token as rep_token,
     apply_word as rep_word,
     represent,
     spanning_vectors,
@@ -495,6 +497,30 @@ def _first_of_its_relabeling(v):
     ((_, slots),) = v.terms
     labels = list(dict.fromkeys(slots))
     return labels == list(range(1, len(labels) + 1))
+
+
+@pytest.mark.parametrize("A", [(1, 1), (1, 1, -1)], ids=["(1,1)", "(1,1,-1)"])
+def test_crossing_top_dot_correction_matches_representation(A):
+    # a crossing of like strands x, x + 1 with top dots a != b there adds
+    # its divided-difference correction (affine._divided_difference); the
+    # relation instances only ever reach it with a = b. Dots rest at the
+    # bottom of a through strand, so most of these monomials are
+    # irregular: the oracle applies their own words all the same
+    ctx, om = GlContext.parabolic(2, 2, 0), OmegaSpec.from_mn_delta(2, 2, 0)
+    vectors = list(spanning_vectors(ctx, A, max_deg=1))
+    checked = 0
+    for x in (x for x in range(1, len(A)) if A[x - 1] == A[x]):
+        for D in enumerate_diagrams(A, A):
+            for a, b in ((1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 3)):
+                eta = [0] * len(A)
+                eta[x - 1], eta[x] = a, b
+                m = Monomial(D, None, eta)
+                crossed = tok_mono(("c", x), m, om)
+                for v in vectors:
+                    want = rep_token(("c", x), represent(DecoratedElement.from_monomial(m), v))
+                    assert represent(crossed, v) == want, (m, v)
+                checked += 1
+    assert checked == {2: 12, 3: 36}[len(A)]
 
 
 def test_rehoming_matches_representation(monkeypatch):

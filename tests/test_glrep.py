@@ -1,4 +1,8 @@
 import hashlib
+import pickle
+import subprocess
+import sys
+from copy import deepcopy
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -6,7 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from wbcat import glrep
+import wbcat
+from wbcat import cli, glrep
 from wbcat.diagrams import (
     DecoratedElement,
     Monomial,
@@ -15,7 +20,7 @@ from wbcat.diagrams import (
     token_diagram,
     word_for_monomial,
 )
-from wbcat.exact import sparse_rank
+from wbcat.exact import clean, sparse_rank
 from wbcat.glrep import (
     GlContext,
     ModuleVector,
@@ -50,48 +55,43 @@ class Params:
 def test_apply_E_slots():
     ctx = GlContext.trivial(3)
     v = ModuleVector.basis_vector(ctx, (1,), (2,))
-    w = apply_E(ctx, 1, 2, v)
+    w = apply_E(1, 2, v)
     assert w == ModuleVector.basis_vector(ctx, (1,), (1,))
     vstar = ModuleVector.basis_vector(ctx, (-1,), (1,))
-    w = apply_E(ctx, 1, 2, vstar)
+    w = apply_E(1, 2, vstar)
     assert w == ModuleVector.basis_vector(ctx, (-1,), (2,)).scale(-1)
 
 
 def test_apply_E_module_weight():
     ctx = GlContext.parabolic(2, 2, 3)
     v = ModuleVector.basis_vector(ctx, (1,), (3,))
-    w = apply_E(ctx, 1, 1, v)  # E_11 acts only on the module factor here
+    w = apply_E(1, 1, v)  # E_11 acts only on the module factor here
     assert w == v.scale(-3)
-    w = apply_E(ctx, 4, 4, v)
+    w = apply_E(4, 4, v)
     assert w.is_zero()
 
 
 def test_apply_E_module_lowering():
     ctx = GlContext.parabolic(2, 2, 1)
     v = ModuleVector.basis_vector(ctx, (1,), (1,))
-    w = apply_E(ctx, 3, 1, v)
+    w = apply_E(3, 1, v)
     # E_31 z = x_31 z on the module factor; slot part moves v_1 -> nothing
     assert w.coeff(((3, 1),), (1,)) == 1
 
 
 def test_apply_E_refuses_what_is_not_gl_N_on_v():
-    # E_ab needs 1 <= a, b <= N, a factor of v's object and v's own module:
-    # E_71 once gave x_71 z (x) v_7, outside gl_4
+    # E_ab needs 1 <= a, b <= N and a factor of v's object: E_71 once gave
+    # x_71 z (x) v_7, outside gl_4
     ctx = GlContext.parabolic(2, 2, 0)
     v = ModuleVector.basis_vector(ctx, (1,), (1,))
     for a, b in ((7, 1), (1, 5), (0, 1), (2, 0)):
         with pytest.raises(ValueError, match="1 <= a, b <= N"):
-            apply_E(ctx, a, b, v)
+            apply_E(a, b, v)
         with pytest.raises(ValueError, match="1 <= a, b <= N"):
-            apply_E_at(ctx, a, b, v, 1)
+            apply_E_at(a, b, v, 1)
     for pos in (-1, 2, 5):
         with pytest.raises(ValueError, match="factor index"):
-            apply_E_at(ctx, 1, 2, v, pos)
-    for other in (GlContext.parabolic(2, 2, 1), GlContext.parabolic(1, 3, 0), GlContext.trivial(4)):
-        with pytest.raises(ValueError, match="module mismatch"):
-            apply_E(other, 1, 1, v)
-    # an equal context built apart acts as v's own
-    assert apply_E(GlContext.parabolic(2, 2, 0), 3, 1, v) == apply_E(ctx, 3, 1, v)
+            apply_E_at(1, 2, v, pos)
 
 
 def test_vector_sums_refuse_another_module():
@@ -112,6 +112,90 @@ def test_vector_sums_refuse_another_module():
     u = ModuleVector.basis_vector(GlContext.parabolic(2, 2, 0), (1, -1), (2, 2))
     assert (v + u).terms == {((), (1, 2)): 1, ((), (2, 2)): 1}
     assert (v - v).is_zero() and v == ModuleVector.basis_vector(GlContext.parabolic(2, 2, 0), (1, -1), (1, 2))
+
+
+def test_vector_keys_are_checked_like_basis_keys():
+    # ModuleVector(ctx, A, terms) once took any key: two slots on a
+    # one-strand object, slot 9 outside gl_4 and the non-symbol x_12 went
+    # in, and y_1 then gave x[(1,2),(9,1)]z (x) [1]
+    ctx = GlContext.parabolic(2, 2, 0)
+    with pytest.raises(ValueError, match="slot count mismatch"):
+        ModuleVector(ctx, (1,), {((), (1, 7)): 1, (((1, 2),), (9,)): 2})
+    for mu, slots, message in (
+        ((), (1, 7), "slot count mismatch"),
+        ((), (), "slot count mismatch"),
+        ((), (9,), "slot index out of range"),
+        ((), (0,), "slot index out of range"),
+        ((), (1.0,), "slot index out of range"),
+        (((1, 2),), (1,), "x_12 is not a symbol of u\\^-"),
+        (((3, 1), (2, 4)), (1,), "x_24 is not a symbol of u\\^-"),
+    ):
+        for build in (
+            lambda: ModuleVector(ctx, (1,), {(mu, slots): 1}),
+            lambda: ModuleVector.basis_vector(ctx, (1,), slots, mu),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+    # a monomial is sorted as it goes in, so two spellings of one key add up
+    v = ModuleVector(ctx, (1,), {(((4, 2), (3, 1)), (1,)): 1, (((3, 1), (4, 2)), (1,)): 2})
+    assert v.terms == {(((3, 1), (4, 2)), (1,)): 3}
+    assert v == ModuleVector.basis_vector(ctx, (1,), (1,), ((4, 2), (3, 1))).scale(3)
+
+
+_PICKLED = """
+import pickle, sys
+from wbcat.glrep import GlContext, ModuleVector, apply_word, module_monomials
+ctx = GlContext.parabolic(2, 2, 1)
+for mu in reversed(module_monomials(ctx, 3)):  # other indices than the pickling process
+    ModuleVector.basis_vector(ctx, (1,), (1,), mu)
+v = pickle.loads(sys.stdin.buffer.read())
+w = apply_word(WORD, ModuleVector.basis_vector(ctx, (1, -1, -1), (3, 3, 1), ((3, 1),)))
+print(v == w, v.terms == w.terms, list(v.terms) == list(w.terms), repr(v))
+"""
+
+
+def test_keys_survive_pickling_into_a_fresh_interpreter():
+    # a key indexes its process's table of monomials: a pickle carries the
+    # basis keys (mu, slots), and the loading process indexes them anew
+    ctx = GlContext.parabolic(2, 2, 1)
+    word = [("y", 1), ("y", 2), ("e", 1), ("y", 2), ("c", 2)]
+    v = apply_word(word, ModuleVector.basis_vector(ctx, (1, -1, -1), (3, 3, 1), ((3, 1),)))
+    assert len({mu for mu, _ in v.terms}) >= 3
+    code = _PICKLED.replace("WORD", repr(word))
+    r = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(v), capture_output=True)
+    assert r.returncode == 0 and r.stdout.decode() == f"True True True {v!r}\n", r.stderr
+    assert pickle.loads(pickle.dumps(v)) == v == deepcopy(v)
+
+
+def test_keys_survive_clear_caches():
+    ctx = GlContext.parabolic(2, 2, 0)
+    v = y_apply(y_apply(ModuleVector.basis_vector(ctx, (1, -1), (3, 2)), 1), 2)
+    terms, text = dict(v.terms), repr(v)
+    wbcat.clear_caches()
+    assert v.terms == terms and list(v.terms) == list(terms) and repr(v) == text
+    assert v == y_apply(y_apply(ModuleVector.basis_vector(ctx, (1, -1), (3, 2)), 1), 2)
+    assert v == ModuleVector(ctx, (1, -1), terms)
+
+
+def test_keys_round_trip_at_the_largest_sizes():
+    # N = MAX_S8_N = 16 on MAX_STRANDS = 8 strands: slot codes up to 16^8 - 1
+    N, k = cli.MAX_S8_N, cli.MAX_STRANDS
+    ctx = GlContext.parabolic(8, N - 8, 0)
+    A = (1, -1) * (k // 2)
+    mus = [(), ((16, 1),), ((9, 8), (16, 1), (16, 1))]
+    edges = [(1,) * k, (N,) * k, tuple(range(1, k + 1)), tuple(range(N, N - k, -1)), (N, 1) * (k // 2)]
+    for slots in edges:
+        for mu in mus:
+            v = ModuleVector.basis_vector(ctx, A, slots, mu)
+            assert v.terms == {(mu, slots): 1} and v.coeff(mu, slots) == 1
+            assert ModuleVector(ctx, A, v.terms) == v
+            # a crossing moves two digits and only those
+            w = apply_token(("c", 3), ModuleVector.basis_vector(ctx, (1,) * k, slots, mu))
+            assert w.terms == {(mu, slots[:2] + (slots[3], slots[2]) + slots[4:]): 1}
+    # the cap-cup at the wall keeps the other digits, each at 16 values
+    v = ModuleVector.basis_vector(ctx, A, (N, 3) + (7, 7) + (N,) * (k - 4))
+    got = apply_token(("e", 3), v)
+    assert list(got.terms) == [((), (N, 3, d, d) + (N,) * (k - 4)) for d in range(1, N + 1)]
 
 
 def test_trivial_y_is_scalar():
@@ -171,7 +255,7 @@ def _split_casimir(ctx, v, j, k):
     out = zero_vector(ctx, v.A)
     for a in range(1, ctx.N + 1):
         for b in range(1, ctx.N + 1):
-            out = out + apply_E_at(ctx, a, b, apply_E_at(ctx, b, a, v, k), j)
+            out = out + apply_E_at(a, b, apply_E_at(b, a, v, k), j)
     return out
 
 
@@ -244,10 +328,10 @@ def test_y_apply_sums_its_casimirs_in_one_accumulator(ctx, data):
             omega = omega_pair(v, k, i)
             assert omega == _split_casimir(ctx, v, k, i)
             expected = expected + omega
-            # adding into a nonempty accumulator is the vector sum
-            acc = dict(w.terms)
+            # adding into a nonempty accumulator of int keys is the vector sum
+            acc = dict(w._terms)
             assert omega_pair(v, k, i, acc) is None
-            assert ModuleVector(ctx, A, acc) == w + omega
+            assert glrep._vector(ctx, w.A, clean(acc)) == w + omega
         got = y_apply(v, i)
         assert got == expected
         assert _exact_coeffs(got)
@@ -324,7 +408,7 @@ def test_action_commutes_with_gl_N(ctx, A, max_deg, checks):
             image = op(v)
             for a in range(1, ctx.N + 1):
                 for b in range(1, ctx.N + 1):
-                    assert op(apply_E(ctx, a, b, v)) == apply_E(ctx, a, b, image)
+                    assert op(apply_E(a, b, v)) == apply_E(a, b, image)
                     checked += 1
     assert checked == checks
 
@@ -512,27 +596,48 @@ def _oracle_words(A):
     return sorted(words)
 
 
+def _word_ops(ctx, A):
+    return [lambda v, word=word: apply_word(word, v) for word in _oracle_words(A)]
+
+
+def _E_ops(ctx, A):
+    """Every E_ab at each factor (apply_E_at), then on the whole product."""
+    return [
+        (lambda v, a=a, b=b, pos=pos: apply_E(a, b, v) if pos is None else apply_E_at(a, b, v, pos))
+        for a in range(1, ctx.N + 1)
+        for b in range(1, ctx.N + 1)
+        for pos in (*range(len(A) + 1), None)
+    ]
+
+
 @pytest.mark.parametrize(
-    "ctx, A, nwords, digest",
+    "ctx, A, max_deg, ops, nops, digest",
     [
-        (GlContext.parabolic(2, 2, 0), (1, 1, -1), 106, "8ecbd28a125abe92"),
-        (GlContext.parabolic(2, 2, 0), (-1, -1, -1), 67, "b462044f2e4870b6"),
-        (GlContext.parabolic(2, 1, 1), (1, -1, 1), 132, "b6c86eb30b060437"),
-        (GlContext.trivial(3), (1, 1, -1), 106, "62739b7a9da91f7c"),
+        (GlContext.parabolic(2, 2, 0), (1, 1, -1), 2, _word_ops, 106, "8ecbd28a125abe92"),
+        (GlContext.parabolic(2, 2, 0), (-1, -1, -1), 2, _word_ops, 67, "b462044f2e4870b6"),
+        (GlContext.parabolic(2, 1, 1), (1, -1, 1), 2, _word_ops, 132, "b6c86eb30b060437"),
+        (GlContext.trivial(3), (1, 1, -1), 2, _word_ops, 106, "62739b7a9da91f7c"),
+        # slot values of two decimal digits, a base of 10 for the keys
+        (GlContext.parabolic(5, 5, 0), (1, -1), 1, _word_ops, 40, "6c6455d36186ef69"),
+        (GlContext.parabolic(2, 2, 1), (1, 1, -1), 2, _E_ops, 80, "a83a3189fd7951d3"),
     ],
-    ids=["p220-(1,1,-1)", "p220-(-1,-1,-1)", "p211-(1,-1,1)", "trivial3-(1,1,-1)"],
+    ids=[
+        "p220-(1,1,-1)", "p220-(-1,-1,-1)", "p211-(1,-1,1)", "trivial3-(1,1,-1)",
+        "p550-(1,-1)", "p221-(1,1,-1)-E_ab",
+    ],
 )
-def test_oracle_images_are_pinned(ctx, A, nwords, digest):
-    # the image of every relation and identity word on every degree <= 2
-    # spanning vector, terms in sorted order with their exact coefficient
-    # types; the digests were recorded before the slot tuples came from
-    # tables, so the token action is unchanged term for term
-    words = _oracle_words(A)
-    assert len(words) == nwords
+def test_oracle_images_are_pinned(ctx, A, max_deg, ops, nops, digest):
+    # the image of every relation and identity word (or of every E_ab) on
+    # every spanning vector of degree <= max_deg, terms in sorted order
+    # with their exact coefficient types; the first four digests were
+    # recorded before the slot tuples came from tables and all six before
+    # the keys became ints, so the action is unchanged term for term
+    ops = ops(ctx, A)
+    assert len(ops) == nops
     h = hashlib.sha256()
-    for v in spanning_vectors(ctx, A, max_deg=2):
-        for word in words:
-            h.update(repr(sorted(apply_word(word, v).terms.items())).encode())
+    for v in spanning_vectors(ctx, A, max_deg=max_deg):
+        for op in ops:
+            h.update(repr(sorted(op(v).terms.items())).encode())
     assert h.hexdigest()[:16] == digest
 
 
