@@ -424,20 +424,27 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given the name of one (main passes
+    argv[0]), only that one gets its flags, which is all a parse of such an
+    argv reads; every subcommand is still registered, so the usage line and
+    --help are unchanged. Any other value builds every subcommand's flags."""
     parser = argparse.ArgumentParser(
         prog="wbcat", description="walled Brauer category engines, batch JSON"
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    chosen = (command,) if command in COMMANDS else COMMANDS
     for name, (help_text, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        for flag, keywords in flags:
-            sub.add_argument(flag, **keywords)
+        if name in chosen:
+            for flag, keywords in flags:
+                sub.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if "seq" in args:
             args.seq = _parse_seq(args.seq)

@@ -492,7 +492,10 @@ def series_one(nvars: int, order: int) -> LaurentSeries:
 def _int_row(row) -> dict:
     """The nonzero entries of a sparse row as ints: a row with a Fraction
     entry is scaled by the lcm of its denominators, in int arithmetic (an
-    int is its own numerator over 1), so no Fraction is made."""
+    int is its own numerator over 1), so no Fraction is made. A row of
+    nonzero ints alone is copied as it is."""
+    if all(v.__class__ is int and v for v in row.values()):
+        return dict(row)
     row = {k: v for k, v in row.items() if v}
     if any(v.__class__ is not int for v in row.values()):
         den = lcm(*(v.denominator for v in row.values()))

@@ -35,13 +35,15 @@ The token action is digit arithmetic on these ints. A crossing adds to a
 key the offset that swaps its two digits. A cap-cup, where the two digits
 agree, moves both to each d in turn; its N offsets are read from a small
 table indexed by the two digits (_cup_offsets).
-Between two slots, Omega is read from a cached table (_slot_pair) built
-from the slot rule above by summing over (a, b): a swap when the slots have
-the same orientation, minus a cap-cup when they are opposite; _pair_slots
-turns its rows into key offsets. Between the module and a slot it is read
-from a second cached table (_module_slot) keyed by the slot value and the
-mu index: every new slot value d with the module action that goes with it,
-already signed and as a key offset. A dot y_i splits into a slot part,
+Between two slots, Omega is read from a cached table (_slot_pair) that
+holds the slot rule's sum over (a, b) in closed form: the swap when the
+slots have the same orientation, minus sum_d (d, d) when they are opposite
+and hold one value, nothing otherwise; _pair_slots turns its rows into key
+offsets. Between the module and a slot it is read from a second cached
+table (_module_slot) keyed by the slot value and the mu index: every new
+slot value d with the module action that goes with it, already signed and
+as a key offset. That action (_module_action) is one pass over the symbols
+of mu by the commutator rule. A dot y_i splits into a slot part,
 N/2 + sum_{1<=k<i} Omega_{ki}, which depends on the slot digits alone and
 is a cached row of key offsets per slot code (_dot_slots), and the module
 term Omega_{0i}, one omega_pair call. Both go into one accumulator, cleaned
@@ -142,22 +144,41 @@ def _slot_tuple(N: int, k: int, code: int) -> tuple:
 @lru_cache(maxsize=None)
 def _module_action(m: int, delta: int, a: int, b: int, mu: tuple):
     """E_ab acting on x^mu z in the parabolic module: ((coeff, mu'), ...)
-    with int coefficients."""
-    if not mu:
-        if a > m >= b:
-            return ((1, ((a, b),)),)
-        if a == b and a <= m:
-            return ((-delta, ()),) if delta else ()
-        return ()
-    (i, j) = mu[0]
-    rest = mu[1:]
-    on_rest = _module_action(m, delta, a, b, rest)
-    parts = [(1, {tuple(sorted(nu + ((i, j),))): c for c, nu in on_rest})]
-    if b == i:
-        parts.append((1, {nu: c for c, nu in _module_action(m, delta, a, j, rest)}))
-    if j == a:
-        parts.append((-1, {nu: c for c, nu in _module_action(m, delta, i, b, rest)}))
-    return tuple((c, nu) for nu, c in lincomb(parts).items())
+    with int coefficients, in one pass over the symbols of mu.
+
+    In u^- (a > m >= b), E_ab multiplies by x_ab. In the Levi factor, it
+    acts on each symbol by [E_ab, x_ij] = delta_bi x_aj - delta_ja x_ib and
+    on z by -delta where a = b <= m. In u^+ it kills z, so E_ab x_1..x_r z
+    = sum_t x_<t [E_ab, x_t] x_>t z, each [E_ab, x_t] in the Levi factor."""
+    if a > m >= b:
+        return ((1, tuple(sorted(mu + ((a, b),)))),)
+    acc = {}
+    get = acc.get
+
+    def levi(a, b, head, tail, c):
+        # c * x^head * (E_ab of the Levi factor on x^tail z), into acc
+        if a == b <= m and delta:
+            nu = head + tail
+            acc[nu] = get(nu, 0) - delta * c
+        for s in range(len(tail) - 1, -1, -1):
+            i, j = tail[s]
+            if b == i:
+                nu = tuple(sorted(head + tail[:s] + ((a, j),) + tail[s + 1:]))
+                acc[nu] = get(nu, 0) + c
+            if j == a:
+                nu = tuple(sorted(head + tail[:s] + ((i, b),) + tail[s + 1:]))
+                acc[nu] = get(nu, 0) - c
+
+    if a <= m < b:
+        for t in range(len(mu) - 1, -1, -1):
+            i, j = mu[t]
+            if b == i:
+                levi(a, j, mu[:t], mu[t + 1:], 1)
+            if j == a:
+                levi(i, b, mu[:t], mu[t + 1:], -1)
+    else:
+        levi(a, b, (), mu, 1)
+    return tuple((c, nu) for nu, c in clean(acc).items())
 
 
 def _slot_E(up: bool, a: int, b: int, e: int):
@@ -170,15 +191,14 @@ def _slot_E(up: bool, a: int, b: int, e: int):
 @lru_cache(maxsize=None)
 def _slot_pair(N: int, up_j: bool, up_k: bool, e: int, c: int):
     """Omega = sum_{a,b} E_ab (x) E_ba on slots j < k holding e and c:
-    ((e', c', sign), ...). A swap when the slots have the same orientation,
-    -sum_d (d, d) when they are opposite and e = c, nothing otherwise."""
-    out = []
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            at_j, at_k = _slot_E(up_j, a, b, e), _slot_E(up_k, b, a, c)
-            if at_j and at_k:
-                out.append((at_j[0], at_k[0], at_j[1] * at_k[1]))
-    return tuple(out)
+    ((e', c', sign), ...). By the slot rule (_slot_E), the swap (c, e, +1)
+    when the slots have the same orientation, (d, d, -1) for d = 1..N when
+    they are opposite and e = c, nothing otherwise."""
+    if up_j == up_k:
+        return ((c, e, 1),)
+    if e == c:
+        return tuple((d, d, -1) for d in range(1, N + 1))
+    return ()
 
 
 @lru_cache(maxsize=None)

@@ -292,6 +292,14 @@ def test_sparse_rank_integral_fractions_become_ints():
         assert set(scaled) == {k for k, x in row.items() if x}
         assert all(scaled[k] * row[0] == scaled[0] * row[k] for k in scaled)
     assert _int_row({0: F(4, 2), 1: 3}) == {0: 2, 1: 3}
+    # a row of nonzero ints is copied; the input is never modified
+    ints = {0: 3, 5: -2, 2: 7}
+    scaled = _int_row(ints)
+    assert scaled == ints and list(scaled) == [0, 5, 2] and scaled is not ints
+    scaled[0] = 1
+    assert ints == {0: 3, 5: -2, 2: 7}
+    assert _int_row({0: 3, 1: 0, 2: -4}) == {0: 3, 2: -4}
+    assert _int_row({0: 3, 1: F(1, 2), 2: -4}) == {0: 6, 1: 1, 2: -8}
     assert _check_sparse_rank([{0: F(4, 2), 1: F(6, 3)}, {0: 1, 1: 1}, {1: F(9, 3)}]) == 2
 
 
